@@ -67,7 +67,8 @@ USAGE:
   scd predict  --model FILE --data FILE [--features M]
   scd serve    --model FILE | --train-data FILE|DIR [options]
   scd score    --model FILE --data FILE|DIR [--batch B] [--limit N]
-  scd sweep    --data FILE [--lambda-max L --lambda-ratio R --points P]
+  scd sweep    --data FILE [--lambda-max L --lambda-ratio R --points P
+                           --tol G --max-epochs E]
   scd shard gen     --out DIR --kind criteo|webspam [options]
   scd shard inspect --data DIR [--verify yes]
   scd help

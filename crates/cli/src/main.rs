@@ -9,6 +9,9 @@ fn main() -> ExitCode {
         Ok(args) => args,
         Err(e) => {
             eprintln!("error: {e}");
+            if e == scd_cli::ArgError::MissingCommand {
+                scd_cli::commands::help(&mut std::io::stderr());
+            }
             return ExitCode::FAILURE;
         }
     };

@@ -25,11 +25,107 @@ fn help_succeeds_and_mentions_subcommands() {
     }
 }
 
+/// The pinned CLI surface: each subcommand's argv prefix and exactly the
+/// flags its `check_known` list accepts.
+const SURFACE: &[(&[&str], &[&str])] = &[
+    (
+        &["generate"],
+        &[
+            "kind", "output", "rows", "cols", "nnz-per-row", "fields", "cardinality", "scale",
+            "seed",
+        ],
+    ),
+    (&["info"], &["data", "features", "detail"]),
+    (
+        &["train"],
+        &[
+            "data", "features", "objective", "lambda", "l1-ratio", "form", "backend", "solver",
+            "threads", "buckets", "merge-every", "host-threads", "step", "epochs", "eval-every",
+            "target-gap", "workers", "partition", "aggregation", "wire", "round-threads",
+            "runtime", "staleness", "event-trace", "fault-drop", "fault-delay",
+            "fault-delay-factor", "fault-timeout", "fault-retries", "fault-seed", "round-metrics",
+            "save-model", "seed",
+        ],
+    ),
+    (&["predict"], &["model", "data", "features"]),
+    (
+        &["serve"],
+        &[
+            "model", "train-data", "features", "objective", "lambda", "workers", "epochs", "seed",
+        ],
+    ),
+    (&["score"], &["model", "data", "features", "batch", "limit"]),
+    (
+        &["sweep"],
+        &[
+            "data", "features", "lambda-max", "lambda-ratio", "points", "tol", "max-epochs", "seed",
+        ],
+    ),
+    (
+        &["shard", "gen"],
+        &[
+            "out", "kind", "rows", "cols", "nnz-per-row", "fields", "cardinality", "chunk-rows",
+            "seed",
+        ],
+    ),
+    (&["shard", "inspect"], &["data", "verify"]),
+];
+
+/// Every `--flag` token in a help text.
+fn flags_in(text: &str) -> std::collections::BTreeSet<String> {
+    let mut flags = std::collections::BTreeSet::new();
+    for (at, _) in text.match_indices("--") {
+        let name: String = text[at + 2..]
+            .chars()
+            .take_while(|c| c.is_ascii_lowercase() || c.is_ascii_digit() || *c == '-')
+            .collect();
+        if name.starts_with(|c: char| c.is_ascii_lowercase()) {
+            flags.insert(name);
+        }
+    }
+    flags
+}
+
+#[test]
+fn help_and_check_known_agree_on_the_flag_set() {
+    let out = scd(&["help"]);
+    assert!(out.status.success());
+    let documented = flags_in(&String::from_utf8(out.stdout).unwrap());
+    let accepted: std::collections::BTreeSet<String> = SURFACE
+        .iter()
+        .flat_map(|(_, flags)| flags.iter().map(|f| f.to_string()))
+        .collect();
+    assert_eq!(documented, accepted, "`scd help` and the check_known lists disagree");
+
+    // `check_known` reports the first unknown key in sorted order and runs
+    // before anything else, so pairing a flag with a probe that sorts last
+    // tells whether the flag is accepted without running the subcommand.
+    for (prefix, flags) in SURFACE {
+        for flag in &accepted {
+            let mut argv = prefix.to_vec();
+            let dashed = format!("--{flag}");
+            argv.extend([dashed.as_str(), "x", "--zz-probe", "x"]);
+            let out = scd(&argv);
+            assert!(!out.status.success());
+            let err = String::from_utf8(out.stderr).unwrap();
+            let rejected = if flags.contains(&flag.as_str()) { "zz-probe" } else { flag.as_str() };
+            assert_eq!(
+                err.trim_end(),
+                format!("error: unknown option --{rejected}"),
+                "scd {} --{flag}",
+                prefix.join(" ")
+            );
+        }
+    }
+}
+
 #[test]
 fn bad_usage_fails_with_nonzero_exit_and_stderr() {
     let out = scd(&[]);
     assert!(!out.status.success());
-    assert!(String::from_utf8(out.stderr).unwrap().contains("missing subcommand"));
+    let err = String::from_utf8(out.stderr).unwrap();
+    assert!(err.contains("missing subcommand"), "{err}");
+    assert!(err.contains("USAGE:"), "bare `scd` must print usage: {err}");
 
     let out = scd(&["train"]); // --data required
     assert!(!out.status.success());
