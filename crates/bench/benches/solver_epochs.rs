@@ -5,10 +5,7 @@
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use gpu_sim::{Gpu, GpuProfile};
 use scd_bench::figdata::webspam_fig_small;
-use scd_core::{
-    extensions::{ElasticNetCd, LogisticSdca, SdcaSvm},
-    AsyScd, AsyncSimScd, Form, SequentialScd, Solver, TpaScd,
-};
+use scd_core::{AsyScd, AsyncSimScd, Form, ObjectiveKind, SequentialScd, Solver, TpaScd};
 use std::hint::black_box;
 use std::sync::Arc;
 
@@ -48,31 +45,20 @@ fn bench_single_node_epochs(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_extension_epochs(c: &mut Criterion) {
+fn bench_objective_epochs(c: &mut Criterion) {
     let problem = webspam_fig_small();
-    let mut group = c.benchmark_group("extension_epoch");
+    let mut group = c.benchmark_group("objective_epoch");
     group.sample_size(10);
-    group.bench_function("elastic_net_rho_0.5", |b| {
-        let mut s = ElasticNetCd::new(&problem, 0.5, 1);
-        b.iter(|| {
-            s.epoch(&problem);
-            black_box(())
-        })
-    });
-    group.bench_function("sdca_svm", |b| {
-        let mut s = SdcaSvm::new(&problem, 1);
-        b.iter(|| {
-            s.epoch(&problem);
-            black_box(())
-        })
-    });
-    group.bench_function("sdca_logistic", |b| {
-        let mut s = LogisticSdca::new(&problem, 1);
-        b.iter(|| {
-            s.epoch(&problem);
-            black_box(())
-        })
-    });
+    for kind in &ObjectiveKind::ALL[1..] {
+        group.bench_function(kind.label(), |b| {
+            let mut s = match kind.default_form() {
+                Form::Primal => SequentialScd::primal(&problem, 1),
+                Form::Dual => SequentialScd::dual(&problem, 1),
+            }
+            .with_objective(*kind);
+            b.iter(|| black_box(s.epoch(&problem)))
+        });
+    }
     group.finish();
 }
 
@@ -92,7 +78,7 @@ fn bench_asyscd_epoch(c: &mut Criterion) {
 criterion_group!(
     benches,
     bench_single_node_epochs,
-    bench_extension_epochs,
+    bench_objective_epochs,
     bench_asyscd_epoch
 );
 criterion_main!(benches);

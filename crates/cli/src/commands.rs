@@ -6,7 +6,6 @@
 
 use crate::args::Args;
 use gpu_sim::{Gpu, GpuProfile};
-use scd_core::extensions::ElasticNetCd;
 use scd_core::{
     AsyScd, AsyncCpuMode, AsyncSimScd, ConvergenceRecorder, Form, ObjectiveKind,
     RegularizationPath, RidgeProblem, SequentialScd, Solver, SyscdScd, TpaScd, TrainedModel,
@@ -15,7 +14,7 @@ use scd_datasets::{criteo_like, dense_gaussian, scale_values, webspam_like, Data
 use scd_datasets::{CriteoSpec, WebspamStreamSpec};
 use scd_distributed::{
     Aggregation, AsyncScd, DistributedConfig, DistributedScd, FaultPlan, LocalSolverKind,
-    ParamServerConfig, ParamServerScd, PartitionStrategy, RoundRuntime, Staleness, WireFormat,
+    PartitionStrategy, RoundRuntime, Staleness, WireFormat,
 };
 use scd_serve::json::{escape, Json};
 use scd_serve::{respond, BatchScorer, ModelSlot, Response, Scored};
@@ -98,12 +97,14 @@ TRAIN OPTIONS:
   --data P          a LIBSVM file, or a `scd shard gen` directory (trains
                     out-of-core shards; bit-identical to the in-memory path)
   --features M      fix the feature-space width of the LIBSVM file
-  --objective O     ridge|logistic|svm|lasso|elastic-net (default ridge;
-                    all but elastic-net run on every backend and distributed)
+  --objective O     ridge|logistic|svm|lasso|elastic-net (default ridge; each
+                    runs on every backend but asyscd — ridge and lasso only —
+                    and distributed with --workers)
   --lambda L        regularization                (default 0.001)
-  --l1-ratio R      elastic-net mix rho           (default 0.5; elastic-net only)
+  --l1-ratio R      elastic-net mix rho in [0, 1]: 0 = ridge penalty, 1 = lasso
+                    (default 0.5; elastic-net only)
   --form F          primal|dual (default: the objective's natural form —
-                    primal for ridge/lasso, dual for logistic/svm)
+                    primal for ridge/lasso/elastic-net, dual for logistic/svm)
   --backend B       seq|a-scd|wild|asyscd|syscd|tpa-m4000|tpa-titanx (default seq;
                     --solver is the legacy alias — pass one or the other)
   --threads T       modeled threads for a-scd/wild; worker replicas for syscd
@@ -139,19 +140,21 @@ TRAIN OPTIONS:
   --fault-retries N re-request a lost round N times (default 1)
   --fault-seed S    fault-schedule RNG seed       (default 0)
   --round-metrics F write per-round metrics JSON to F (distributed only)
-  --save-model F    write the trained weights to F (any objective except
-                    elastic-net)
+  --save-model F    write the trained weights to F (any objective), for
+                    `scd score`, `scd predict` and `scd serve --model`
   --seed S          RNG seed                      (default 1)
 
 SERVE OPTIONS (JSON-lines session: one request per stdin line, one response
 per stdout line; ops: {{\"op\":\"info\"}}, {{\"op\":\"score\",\"rows\":[[[idx,val],..],..]}},
 and — when serving from --model — {{\"op\":\"reload\"}} to hot-swap from disk):
   --model F         serve a saved model file
-  --train-data P    train live while serving: a parameter server publishes
-                    into the serving slot at every round boundary
-  --objective O     ridge|logistic|svm|lasso      (live mode; default ridge)
+  --train-data P    train live while serving: the synchronous driver (the one
+                    behind `scd train --workers K`) publishes into the serving
+                    slot at every round boundary
+  --objective O     ridge|logistic|svm|lasso|elastic-net (live mode; default
+                    ridge; elastic-net at the even mix rho = 0.5)
   --lambda L        regularization                (live mode; default 0.001)
-  --workers K       parameter-server workers      (live mode; default 4)
+  --workers K       synchronous-driver workers    (live mode; default 4)
   --epochs E        training rounds to publish    (live mode; default 50)
   --features M      feature width of a LIBSVM --train-data file
   --seed S          RNG seed                      (live mode; default 1)
@@ -338,6 +341,24 @@ fn parse_form(args: &Args) -> Result<Option<Form>, String> {
         Some("primal") => Ok(Some(Form::Primal)),
         Some("dual") => Ok(Some(Form::Dual)),
         Some(other) => Err(format!("unknown --form {other:?} (primal|dual)")),
+    }
+}
+
+/// `--objective` (default ridge) with `--l1-ratio` folded into the
+/// elastic net; the mix's range is checked by `ObjectiveKind::validate`.
+fn parse_objective(args: &Args) -> Result<ObjectiveKind, String> {
+    let name = args.get("objective").unwrap_or("ridge");
+    let objective = ObjectiveKind::parse(name).map_err(|_| {
+        format!("unknown --objective {name:?} (ridge|logistic|svm|lasso|elastic-net)")
+    })?;
+    match objective {
+        ObjectiveKind::ElasticNet { l1_ratio } => Ok(ObjectiveKind::ElasticNet {
+            l1_ratio: args.get_or("l1-ratio", l1_ratio, "number").map_err(|e| e.to_string())?,
+        }),
+        _ if args.get("l1-ratio").is_some() => {
+            Err("--l1-ratio only applies to --objective elastic-net".into())
+        }
+        _ => Ok(objective),
     }
 }
 
@@ -598,41 +619,7 @@ pub fn train(args: &Args, out: &mut dyn Write) -> Result<(), String> {
         }
     };
 
-    let objective_name = args.get("objective").unwrap_or("ridge");
-    if args.get("l1-ratio").is_some() && objective_name != "elastic-net" {
-        return Err("--l1-ratio only applies to --objective elastic-net".into());
-    }
-    if objective_name == "elastic-net" {
-        // Elastic-net keeps its dedicated coordinate-descent engine: its
-        // compound prox doesn't fit the per-coordinate Objective contract.
-        if args.get("save-model").is_some() {
-            return Err(
-                "--save-model supports --objective ridge|logistic|svm|lasso; the elastic-net \
-                 engine has no saved-model mapping — drop --save-model or pick one of those"
-                    .into(),
-            );
-        }
-        let ratio = args.get_or("l1-ratio", 0.5f64, "number").map_err(|e| e.to_string())?;
-        let mut en = ElasticNetCd::new(&problem, ratio, seed);
-        for epoch in 1..=epochs {
-            en.epoch(&problem);
-            if epoch % eval_every == 0 || epoch == epochs {
-                writeln!(
-                    out,
-                    "epoch {epoch:>5}  objective {:>12.6e}  zeros {}/{}",
-                    en.objective(&problem),
-                    en.zero_count(),
-                    problem.m()
-                )
-                .map_err(|e| e.to_string())?;
-            }
-        }
-        return Ok(());
-    }
-    // Everything else runs through the Objective layer, on any backend.
-    let objective = ObjectiveKind::parse(objective_name).map_err(|_| {
-        format!("unknown --objective {objective_name:?} (ridge|logistic|svm|lasso|elastic-net)")
-    })?;
+    let objective = parse_objective(args)?;
     let form = parse_form(args)?.unwrap_or_else(|| objective.default_form());
     objective.validate(&problem, form).map_err(|e| e.to_string())?;
     let workers = args.get_or("workers", 1usize, "integer").map_err(|e| e.to_string())?;
@@ -737,9 +724,9 @@ pub fn train(args: &Args, out: &mut dyn Write) -> Result<(), String> {
     .map_err(|e| e.to_string())?;
     // Classification duals also report training accuracy, scored through
     // the objective's optimality mapping α → β.
-    let classification = objective.as_objective().requires_binary_labels();
+    let classification = objective.requires_binary_labels();
     let accuracy = |weights: &[f32]| -> f64 {
-        let beta = objective.as_objective().induced_primal(&problem, weights);
+        let beta = objective.induced_primal(&problem, weights);
         let scores = problem.csr().matvec(&beta).expect("induced weights have length M");
         let correct = scores
             .iter()
@@ -897,8 +884,8 @@ fn load_model(path: &str) -> Result<TrainedModel, String> {
 /// `scd serve`: a JSON-lines scoring session — requests on stdin, one
 /// response per line on stdout. Either serves a saved `--model` file
 /// (with `{"op":"reload"}` hot swap from disk) or trains live from
-/// `--train-data`, with a parameter server publishing into the serving
-/// slot at every round boundary.
+/// `--train-data`, with the synchronous driver publishing into the
+/// serving slot at every round boundary.
 pub fn serve(args: &Args, out: &mut dyn Write) -> Result<(), String> {
     args.check_known(&[
         "model", "train-data", "features", "objective", "lambda", "workers", "epochs", "seed",
@@ -1010,8 +997,8 @@ fn reload(reload_from: Option<&str>, slot: &ModelSlot) -> Response {
     }
 }
 
-/// `scd serve --train-data`: hot model swap under load. A parameter
-/// server trains in a background thread and publishes the assembled
+/// `scd serve --train-data`: hot model swap under load. The synchronous
+/// driver trains in a background thread and publishes the assembled
 /// model at every round boundary; the foreground session scores against
 /// whatever round is current (`model_seq` in each response names it).
 fn serve_live(path: &str, args: &Args, out: &mut dyn Write) -> Result<(), String> {
@@ -1022,10 +1009,7 @@ fn serve_live(path: &str, args: &Args, out: &mut dyn Write) -> Result<(), String
     if workers == 0 {
         return Err("--workers must be >= 1".into());
     }
-    let objective_name = args.get("objective").unwrap_or("ridge");
-    let objective = ObjectiveKind::parse(objective_name).map_err(|_| {
-        format!("serve trains --objective ridge|logistic|svm|lasso, not {objective_name:?}")
-    })?;
+    let objective = parse_objective(args)?;
     let form = objective.default_form();
     let problem = if Path::new(path).is_dir() {
         if args.get("features").is_some() {
@@ -1052,13 +1036,13 @@ fn serve_live(path: &str, args: &Args, out: &mut dyn Write) -> Result<(), String
     let trainer = {
         let problem = Arc::clone(&problem);
         let slot = Arc::clone(&slot);
-        let config = ParamServerConfig::new(workers, form)
+        let config = DistributedConfig::new(workers, form)
             .with_objective(objective)
             .with_seed(seed);
+        let mut driver = DistributedScd::new(&problem, &config).map_err(|e| e.to_string())?;
         std::thread::spawn(move || {
-            let mut server = ParamServerScd::new(&problem, &config);
             let observer_problem = Arc::clone(&problem);
-            server.set_round_observer(Box::new(move |_round, weights| {
+            driver.set_round_observer(Box::new(move |_round, weights| {
                 // The observer hands over native-form weights; dual
                 // iterates go through the objective's optimality mapping.
                 let beta = match form {
@@ -1068,7 +1052,7 @@ fn serve_live(path: &str, args: &Args, out: &mut dyn Write) -> Result<(), String
                 slot.publish(objective, observer_problem.lambda(), &beta);
             }));
             for _ in 0..epochs {
-                server.epoch(&problem);
+                driver.epoch(&problem);
             }
         })
     };
@@ -1078,7 +1062,7 @@ fn serve_live(path: &str, args: &Args, out: &mut dyn Write) -> Result<(), String
         std::thread::sleep(std::time::Duration::from_millis(1));
     }
     eprintln!(
-        "serving live: {} objective, {workers}-worker parameter server publishing {epochs} rounds",
+        "serving live: {} objective, {workers}-worker synchronous driver publishing {epochs} rounds",
         objective.label()
     );
     let result = serve_session(&slot, None, out);
@@ -1445,13 +1429,11 @@ mod tests {
             ))
             .unwrap();
             assert!(out.contains("epoch     5"), "{obj}: {out}");
-            if obj != "elastic-net" {
-                assert!(out.contains(&format!("{obj} objective")), "{obj}: {out}");
-                assert!(
-                    out.contains("convergence rate:") || out.contains("gap reached 0"),
-                    "{obj}: rate report missing: {out}"
-                );
-            }
+            assert!(out.contains(&format!("{obj} objective")), "{obj}: {out}");
+            assert!(
+                out.contains("convergence rate:") || out.contains("gap reached 0"),
+                "{obj}: rate report missing: {out}"
+            );
         }
         // The classification duals report training accuracy.
         let out = run_to_string(&format!(
@@ -1629,7 +1611,7 @@ mod tests {
             "generate --kind criteo --rows 80 --fields 4 --cardinality 12 --output {data_path}"
         ))
         .unwrap();
-        for obj in ["ridge", "logistic", "svm", "lasso"] {
+        for obj in ["ridge", "logistic", "svm", "lasso", "elastic-net"] {
             let model_path = tmp(&format!("save_all_{obj}"));
             let out = run_to_string(&format!(
                 "train --data {data_path} --features 48 --objective {obj} --lambda 0.01 \
@@ -1646,15 +1628,6 @@ mod tests {
             assert!(out.contains("mse:"), "{obj}: {out}");
             std::fs::remove_file(model_path).ok();
         }
-        // Elastic-net is the one engine without a saved-model mapping;
-        // the error names the objectives that have one.
-        let err = run_to_string(&format!(
-            "train --data {data_path} --features 48 --objective elastic-net \
-             --save-model /tmp/never_written.model"
-        ))
-        .unwrap_err();
-        assert!(err.contains("ridge|logistic|svm|lasso"), "{err}");
-        assert!(err.contains("elastic-net"), "{err}");
         std::fs::remove_file(data_path).ok();
     }
 
@@ -1668,10 +1641,9 @@ mod tests {
         // …live-mode knobs are rejected when serving a file…
         let err = run_to_string("serve --model a --epochs 3").unwrap_err();
         assert!(err.contains("--epochs only applies to --train-data"), "{err}");
-        // …and the live trainer rejects elastic-net up front.
-        let err = run_to_string("serve --train-data /nonexistent --objective elastic-net")
-            .unwrap_err();
-        assert!(err.contains("ridge|logistic|svm|lasso"), "{err}");
+        // …and the live trainer names the objectives it knows.
+        let err = run_to_string("serve --train-data /nonexistent --objective huber").unwrap_err();
+        assert!(err.contains("ridge|logistic|svm|lasso|elastic-net"), "{err}");
 
         // score: model and data are required, knobs validated.
         let err = run_to_string("score --data /nonexistent").unwrap_err();

@@ -5,9 +5,10 @@
 //! * `scd generate` — write a synthetic webspam-/criteo-shaped (or dense)
 //!   dataset in LIBSVM format.
 //! * `scd info` — dataset statistics for any LIBSVM file.
-//! * `scd train` — ridge (any engine: sequential, A-SCD, PASSCoDe-Wild,
-//!   AsySCD, TPA-SCD on either simulated GPU, or a distributed cluster with
-//!   any aggregation rule), SVM, logistic regression, or the elastic net.
+//! * `scd train` — ridge, logistic regression, SVM, lasso or the elastic
+//!   net on any engine: sequential, A-SCD, PASSCoDe-Wild, AsySCD, SySCD,
+//!   TPA-SCD on either simulated GPU, or a distributed cluster with any
+//!   aggregation rule.
 //!
 //! Run `scd help` for the full option reference.
 

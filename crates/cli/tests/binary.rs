@@ -268,16 +268,18 @@ fn objective_flag_errors_are_clean() {
     let err = String::from_utf8(out.stderr).unwrap();
     assert!(err.contains("--l1-ratio only applies to --objective elastic-net"), "{err}");
 
-    let model = tmp("obj_err_model.txt");
-    let out = scd(&[
-        "train", "--data", data_s, "--objective", "elastic-net", "--save-model",
-        model.to_str().unwrap(),
-    ]);
-    assert!(!out.status.success());
-    let err = String::from_utf8(out.stderr).unwrap();
-    assert!(
-        err.contains("--save-model supports --objective ridge|logistic|svm|lasso"),
-        "{err}"
+    // A mix outside [0, 1] or not finite is a typed error, not a panic.
+    for ratio in ["1.5", "-0.1", "nan", "inf"] {
+        let out = scd(&["train", "--data", data_s, "--objective", "elastic-net", "--l1-ratio", ratio]);
+        assert_one_line_error(&out, "elastic-net l1-ratio must be in [0, 1]");
+    }
+    assert_one_line_error(
+        &scd(&["train", "--data", data_s, "--objective", "elastic-net", "--form", "dual"]),
+        "objective elastic-net does not support the dual form",
+    );
+    assert_one_line_error(
+        &scd(&["train", "--data", data_s, "--objective", "elastic-net", "--backend", "asyscd"]),
+        "AsySCD supports only the ridge and lasso objectives, not elastic-net",
     );
 
     let out = scd(&["train", "--data", data_s, "--backend", "asyscd", "--objective", "svm", "--form", "dual"]);
@@ -317,6 +319,63 @@ fn svm_objective_trains_distributed_and_reports_rate() {
     );
 
     std::fs::remove_file(&data).ok();
+}
+
+/// Elastic-net is an objective like the other four: every engine class,
+/// the distributed driver, `--target-gap`, and the saved-model path.
+#[test]
+fn elastic_net_runs_everywhere_and_round_trips_through_score() {
+    let data = tmp("en_data.svm");
+    let model = tmp("en_model.txt");
+    let (data_s, model_s) = (data.to_str().unwrap(), model.to_str().unwrap());
+    let out = scd(&[
+        "generate", "--kind", "criteo", "--rows", "160", "--fields", "5", "--cardinality", "16",
+        "--output", data_s,
+    ]);
+    assert!(out.status.success());
+    let base = [
+        "train", "--data", data_s, "--features", "80", "--objective", "elastic-net", "--lambda",
+        "0.01", "--eval-every", "5",
+    ];
+    let train = |extra: &[&str]| scd(&[&base[..], extra].concat());
+
+    for backend in ["seq", "syscd", "tpa-m4000"] {
+        let out = train(&["--backend", backend, "--epochs", "5"]);
+        let text = String::from_utf8_lossy(&out.stdout).to_string();
+        assert!(text.contains("elastic-net objective"), "{backend}: {text}");
+        assert!(text.contains("epoch     5  gap "), "{backend}: {text}");
+        final_gap(&out);
+    }
+    let out = train(&["--workers", "4", "--epochs", "5"]);
+    assert!(String::from_utf8_lossy(&out.stdout).contains("K=4"));
+    final_gap(&out);
+
+    let out = train(&["--epochs", "500", "--target-gap", "1e-4"]);
+    assert!(String::from_utf8_lossy(&out.stdout).contains("target gap 1.0e-4 reached"));
+
+    // ρ = 1 is the lasso, to the last printed digit.
+    let corner = final_gap(&train(&["--l1-ratio", "1", "--epochs", "5"]));
+    let lasso = final_gap(&scd(&[
+        "train", "--data", data_s, "--features", "80", "--objective", "lasso", "--lambda",
+        "0.01", "--epochs", "5",
+    ]));
+    assert_eq!(corner, lasso);
+
+    let out = train(&["--l1-ratio", "0.25", "--epochs", "20", "--save-model", model_s]);
+    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    let header = std::fs::read_to_string(&model).unwrap();
+    assert!(header.contains("objective=elastic-net l1_ratio=0.25"), "{header}");
+    let out = scd(&["score", "--model", model_s, "--data", data_s, "--limit", "3"]);
+    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    let text = String::from_utf8(out.stdout).unwrap();
+    assert_eq!(text.lines().count(), 4, "3 rows + summary: {text}");
+    // Identity link: the prediction is the decision value.
+    let first = scd_serve::json::Json::parse(text.lines().next().unwrap()).unwrap();
+    assert!(first.get("decision").is_some(), "{text}");
+    assert_eq!(first.get("decision"), first.get("prediction"), "{text}");
+
+    std::fs::remove_file(&data).ok();
+    std::fs::remove_file(&model).ok();
 }
 
 /// The `final gap {:.17e}` line from a train run.

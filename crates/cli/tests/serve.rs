@@ -179,8 +179,8 @@ fn live_training_publishes_rounds_into_the_session() {
         "serve", "--train-data", data.to_str().unwrap(), "--workers", "2", "--epochs", "8",
         "--lambda", "0.01", "--seed", "7",
     ]);
-    // The parameter server publishes one snapshot per round; info must
-    // report a monotone sequence that ends at the final round.
+    // The driver publishes one snapshot per round; info must report a
+    // monotone sequence that ends at the final round.
     let mut last = 0u64;
     for _ in 0..10_000 {
         let info = session.request("{\"op\":\"info\"}");
@@ -206,6 +206,50 @@ fn live_training_publishes_rounds_into_the_session() {
 
     session.close();
     std::fs::remove_file(&data).ok();
+}
+
+/// Live serving trains with the same driver and config as
+/// `scd train --workers K`: on a dense problem at every default, the
+/// model answered after the last round is the batch-trained one.
+#[test]
+fn live_training_on_dense_data_serves_the_batch_trained_model() {
+    let data = tmp("dense_data.svm");
+    let model = tmp("dense_model.txt");
+    let (data_s, model_s) = (data.to_str().unwrap(), model.to_str().unwrap());
+    let out = scd(&[
+        "generate", "--kind", "dense", "--rows", "200", "--cols", "50", "--output", data_s,
+    ]);
+    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    let row = "{\"op\":\"score\",\"rows\":[[[0,1],[1,1],[2,-1]]]}";
+
+    const ROUNDS: u64 = 60;
+    let mut live =
+        Session::spawn(&["serve", "--train-data", data_s, "--features", "50", "--epochs", "60"]);
+    let mut live_answer = live.request(row);
+    while seq_of(&live_answer) < ROUNDS {
+        live_answer = live.request(row);
+    }
+    live.close();
+
+    let out = scd(&[
+        "train", "--data", data_s, "--features", "50", "--workers", "4", "--epochs", "60",
+        "--save-model", model_s,
+    ]);
+    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    let mut batch = Session::spawn(&["serve", "--model", model_s]);
+    let batch_answer = batch.request(row);
+    batch.close();
+
+    let decisions = decisions_of(&live_answer);
+    assert!(decisions.iter().all(|d| d.is_finite()), "{decisions:?}");
+    assert_eq!(
+        live_answer.get("decisions"),
+        batch_answer.get("decisions"),
+        "live {live_answer:?} vs batch {batch_answer:?}"
+    );
+
+    std::fs::remove_file(&data).ok();
+    std::fs::remove_file(&model).ok();
 }
 
 #[test]

@@ -52,7 +52,8 @@ pub enum AsyScdError {
     /// AsySCD's Hessian-based primal iteration only generalizes to
     /// objectives with a (possibly prox-composed) quadratic primal —
     /// ridge and lasso. The classification duals have no primal
-    /// coordinate form to run it on.
+    /// coordinate form to run it on, and the elastic net's mixed penalty
+    /// is not wired into the Hessian diagonal.
     UnsupportedObjective {
         /// The rejected objective's label.
         objective: &'static str,
@@ -172,7 +173,7 @@ impl AsyScd {
                     self.hessian.add_diagonal(-problem.n_lambda());
                 }
             }
-            ObjectiveKind::Logistic | ObjectiveKind::Svm => {
+            ObjectiveKind::Logistic | ObjectiveKind::Svm | ObjectiveKind::ElasticNet { .. } => {
                 return Err(AsyScdError::UnsupportedObjective {
                     objective: objective.label(),
                 });
@@ -235,7 +236,7 @@ impl Solver for AsyScd {
                         // Prox-gradient step on the N-scaled objective
                         // (1/2)βᵀHβ − yᵀAβ + Nλ‖β‖₁, H = AᵀA: the 1-d
                         // coordinate minimizer is the soft threshold.
-                        let target = crate::extensions::elastic_net::soft_threshold(
+                        let target = crate::objective::soft_threshold(
                             h_cc * beta_c - self.gradient[c],
                             n_lambda,
                         ) / h_cc;

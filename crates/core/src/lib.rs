@@ -8,7 +8,8 @@
 //! * [`problem`] — primal/dual objectives, duality gap (§II).
 //! * [`updates`] — the scalar coordinate update rules (Eqs. 2 and 4).
 //! * [`objective`] — the pluggable objective layer (ridge, logistic,
-//!   hinge/SVM, lasso) every engine dispatches through.
+//!   hinge/SVM, lasso, elastic net — the other uses of SCD that §I
+//!   names) every engine dispatches through.
 //! * [`seq`] — Algorithm 1, the single-thread baseline.
 //! * [`async_cpu`] — real-thread A-SCD / PASSCoDe-Wild (§III-B).
 //! * [`async_sim`] — deterministic T-thread asynchrony simulation used for
@@ -26,14 +27,12 @@
 //!   ground.
 //! * [`model`] — trained-model persistence and inference.
 //! * [`path`] — warm-started regularization paths over a λ grid [4].
-//! * [`extensions`] — elastic net and SVM, the other problems §I names.
 
 pub mod aggregation;
 pub mod async_cpu;
 pub mod asyscd;
 pub mod async_sim;
 pub mod exact;
-pub mod extensions;
 pub mod minibatch;
 pub mod model;
 pub mod objective;
@@ -54,8 +53,8 @@ pub use exact::{exact_dual, exact_primal};
 pub use minibatch::MiniBatchSdca;
 pub use model::{ModelError, TrainedModel};
 pub use objective::{
-    LassoObjective, LogisticObjective, Objective, ObjectiveError, ObjectiveKind, RidgeObjective,
-    SvmObjective,
+    ElasticNetObjective, LogisticObjective, Objective, ObjectiveError, ObjectiveKind,
+    RidgeObjective, SvmObjective,
 };
 pub use path::{PathPoint, RegularizationPath};
 pub use problem::{Form, ProblemError, RidgeProblem};

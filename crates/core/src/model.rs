@@ -13,7 +13,8 @@
 //! * `v2` — adds `objective=<label>` to the header and a final
 //!   `checksum=fnv1a64:<16 hex>` line over every preceding byte (the same
 //!   FNV-1a the dataset store uses), so truncation and bit rot fail loudly
-//!   instead of scoring garbage.
+//!   instead of scoring garbage. An elastic-net model also records its
+//!   mix as `l1_ratio=<ρ>`.
 
 use crate::objective::ObjectiveKind;
 use crate::problem::{Form, RidgeProblem};
@@ -221,9 +222,12 @@ impl TrainedModel {
         let mut body = String::new();
         body.push_str(MAGIC_V2);
         body.push('\n');
+        body.push_str(&format!("objective={}", self.objective.label()));
+        if let ObjectiveKind::ElasticNet { l1_ratio } = self.objective {
+            body.push_str(&format!(" l1_ratio={l1_ratio}"));
+        }
         body.push_str(&format!(
-            "objective={} form={} lambda={} features={}\n",
-            self.objective.label(),
+            " form={} lambda={} features={}\n",
             self.form.label(),
             self.lambda,
             self.features()
@@ -278,6 +282,7 @@ impl TrainedModel {
         let mut form = None;
         let mut lambda = None;
         let mut features = None;
+        let mut l1_ratio = None;
         for token in header.split_ascii_whitespace() {
             match token.split_once('=') {
                 Some(("objective", name)) => {
@@ -290,6 +295,12 @@ impl TrainedModel {
                 Some(("form", "dual")) => form = Some(Form::Dual),
                 Some(("lambda", v)) => lambda = v.parse::<f64>().ok(),
                 Some(("features", v)) => features = v.parse::<usize>().ok(),
+                Some(("l1_ratio", v)) => {
+                    l1_ratio = v.parse::<f64>().ok().filter(|r| (0.0..=1.0).contains(r));
+                    if l1_ratio.is_none() {
+                        return Err(ModelError::BadHeader(header.to_string()));
+                    }
+                }
                 _ => return Err(ModelError::BadHeader(header.to_string())),
             }
         }
@@ -298,6 +309,16 @@ impl TrainedModel {
             (Some(o), _) => o,
             (None, false) => ObjectiveKind::Ridge,
             (None, true) => return Err(ModelError::BadHeader(header.to_string())),
+        };
+        // The mix belongs to the elastic net and to nothing else.
+        let objective = match (objective, l1_ratio) {
+            (ObjectiveKind::ElasticNet { .. }, Some(l1_ratio)) => {
+                ObjectiveKind::ElasticNet { l1_ratio }
+            }
+            (ObjectiveKind::ElasticNet { .. }, None) | (_, Some(_)) => {
+                return Err(ModelError::BadHeader(header.to_string()))
+            }
+            (other, None) => other,
         };
         let (form, lambda, features) = match (form, lambda, features) {
             (Some(f), Some(l), Some(m)) => (f, l, m),
@@ -362,7 +383,8 @@ mod tests {
     fn every_objective_roundtrips_with_its_label() {
         let data = scale_values(&webspam_like(50, 30, 6, 9), 0.3);
         let p = RidgeProblem::from_labelled(&data, 1e-2).unwrap();
-        for kind in ObjectiveKind::ALL {
+        let off_default_mix = ObjectiveKind::ElasticNet { l1_ratio: 0.125 };
+        for kind in ObjectiveKind::ALL.into_iter().chain([off_default_mix]) {
             let form = kind.default_form();
             let mut solver = match form {
                 Form::Primal => SequentialScd::primal(&p, 3),
@@ -465,6 +487,23 @@ mod tests {
             TrainedModel::load(bad.as_bytes()),
             Err(ModelError::UnknownObjective(_))
         ));
+        // The elastic-net mix on a model that has none, and out of range.
+        let bad = body_with(&text, |body| {
+            body.replacen("objective=ridge", "objective=ridge l1_ratio=0.5", 1)
+        });
+        assert!(matches!(
+            TrainedModel::load(bad.as_bytes()),
+            Err(ModelError::BadHeader(_))
+        ));
+        for mix in ["", " l1_ratio=1.5", " l1_ratio=nan"] {
+            let bad = body_with(&text, |body| {
+                body.replacen("objective=ridge", &format!("objective=elastic-net{mix}"), 1)
+            });
+            assert!(
+                matches!(TrainedModel::load(bad.as_bytes()), Err(ModelError::BadHeader(_))),
+                "{mix:?}"
+            );
+        }
         // Wrong weight count.
         let bad = body_with(&text, |body| body.replacen("features=90", "features=91", 1));
         assert!(matches!(

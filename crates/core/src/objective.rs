@@ -2,7 +2,7 @@
 //! data flow — sparse dot → scalar coordinate update → axpy into the
 //! shared vector — so the *objective* is exactly the scalar step plus the
 //! value/gap oracles. This module factors those behind the [`Objective`]
-//! trait with four implementations:
+//! trait with four implementations serving five objectives:
 //!
 //! * **Ridge** (Eqs. 1–7 of the paper): the existing closed forms from
 //!   [`crate::updates`], delegated verbatim so every ridge path stays
@@ -12,8 +12,10 @@
 //!   condition `ln((1−a)/a) = margin + (a − a_old)·‖ā‖²/λN`.
 //! * **Hinge/SVM** (dual, PASSCoDe / SDCA): box-clipped closed form
 //!   `a ← clip(a + (1 − margin)·λN/‖ā‖², 0, 1)`.
-//! * **Lasso** (primal): soft-threshold closed form, the ρ = 1 corner of
-//!   the elastic net.
+//! * **Elastic net** (primal; Friedman, Hastie & Tibshirani [4]):
+//!   F(β) = 1/(2N)‖Aβ − y‖² + λ(ρ‖β‖₁ + (1−ρ)/2·‖β‖²), soft-threshold
+//!   closed form β_m ← S(⟨r, a_m⟩/N, λρ) / (‖a_m‖²/N + λ(1−ρ)). **Lasso**
+//!   is its ρ = 1 corner and runs the same code.
 //!
 //! **Signed-α convention.** The ridge dual engines store α and maintain
 //! w̄ = Aᵀα. The SDCA classification duals use a box variable
@@ -27,7 +29,6 @@
 //! and dispatch through its inherent methods, so no `Arc<dyn …>` plumbing
 //! reaches the hot loops or the GPU kernel structs.
 
-use crate::extensions::elastic_net::soft_threshold;
 use crate::problem::{Form, RidgeProblem};
 use crate::updates;
 use scd_sparse::dense;
@@ -36,8 +37,20 @@ use scd_sparse::dense;
 /// interval width — below f32 weight resolution).
 const LOGISTIC_BISECTION_ITERS: usize = 40;
 
+/// Soft-threshold operator S(z, t) = sign(z)·max(|z| − t, 0).
+#[inline]
+pub(crate) fn soft_threshold(z: f64, t: f64) -> f64 {
+    if z > t {
+        z - t
+    } else if z < -t {
+        z + t
+    } else {
+        0.0
+    }
+}
+
 /// Errors from validating an objective against a problem/form.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum ObjectiveError {
     /// The objective has no coordinate update for this form (e.g. lasso
     /// has no dual, SVM no primal).
@@ -52,6 +65,11 @@ pub enum ObjectiveError {
         /// The objective's label.
         objective: &'static str,
     },
+    /// The elastic-net mix ρ is outside [0, 1] or not finite.
+    InvalidL1Ratio {
+        /// The rejected ρ.
+        l1_ratio: f64,
+    },
 }
 
 impl std::fmt::Display for ObjectiveError {
@@ -64,6 +82,9 @@ impl std::fmt::Display for ObjectiveError {
             ),
             ObjectiveError::NonBinaryLabels { objective } => {
                 write!(f, "objective {objective} requires ±1 labels")
+            }
+            ObjectiveError::InvalidL1Ratio { l1_ratio } => {
+                write!(f, "elastic-net l1-ratio must be in [0, 1], got {l1_ratio}")
             }
         }
     }
@@ -85,9 +106,6 @@ impl std::error::Error for ObjectiveError {}
 /// * `n_lambda` is the problem's `N·λ` (global N on partitions) passed
 ///   through unchanged so ridge stays bit-identical.
 pub trait Objective {
-    /// Short lowercase name (CLI value, figure legends).
-    fn label(&self) -> &'static str;
-
     /// Whether this objective has a coordinate update for `form`.
     fn supports(&self, form: Form) -> bool;
 
@@ -126,14 +144,14 @@ pub trait Objective {
     /// The dual objective value D(α) for objectives with a dual form.
     ///
     /// # Panics
-    /// Panics for primal-only objectives (lasso).
+    /// Panics for primal-only objectives (elastic net, lasso).
     fn dual_value(&self, problem: &RidgeProblem, alpha: &[f32]) -> f64;
 
     /// The primal iterate induced by a dual iterate (the optimality
     /// mapping): β = w̄/λ for ridge, β = w̄/λN for the SDCA duals.
     ///
     /// # Panics
-    /// Panics for primal-only objectives (lasso).
+    /// Panics for primal-only objectives (elastic net, lasso).
     fn induced_primal(&self, problem: &RidgeProblem, alpha: &[f32]) -> Vec<f32>;
 
     /// Per-example loss ℓ(margin) with margin = yₙ⟨āₙ, β⟩ — the value
@@ -144,7 +162,7 @@ pub trait Objective {
     /// Panics for objectives whose loss is not a margin function.
     fn margin_loss(&self, margin: f64) -> f64 {
         let _ = margin;
-        panic!("{} has no margin-loss oracle", self.label())
+        panic!("this objective has no margin-loss oracle")
     }
 
     /// Duality gap of the iterate, recomputed honestly from the weights
@@ -162,10 +180,6 @@ pub trait Objective {
 pub struct RidgeObjective;
 
 impl Objective for RidgeObjective {
-    fn label(&self) -> &'static str {
-        "ridge"
-    }
-
     fn supports(&self, _form: Form) -> bool {
         true
     }
@@ -249,10 +263,6 @@ fn sdca_induced_primal(problem: &RidgeProblem, alpha: &[f32]) -> Vec<f32> {
 pub struct LogisticObjective;
 
 impl Objective for LogisticObjective {
-    fn label(&self) -> &'static str {
-        "logistic"
-    }
-
     fn supports(&self, form: Form) -> bool {
         form == Form::Dual
     }
@@ -338,10 +348,6 @@ impl Objective for LogisticObjective {
 pub struct SvmObjective;
 
 impl Objective for SvmObjective {
-    fn label(&self) -> &'static str {
-        "svm"
-    }
-
     fn supports(&self, form: Form) -> bool {
         form == Form::Dual
     }
@@ -407,16 +413,17 @@ impl Objective for SvmObjective {
     }
 }
 
-/// Lasso — pure-ℓ1 least squares, trained on the primal with the
-/// soft-threshold closed form (the ρ = 1 corner of the elastic net).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct LassoObjective;
+/// Elastic net — least squares under λ(ρ‖β‖₁ + (1−ρ)/2·‖β‖²), trained on
+/// the primal with the soft-threshold closed form. ρ = 1 is the lasso and
+/// every expression below reduces to the pure-ℓ1 one bit for bit there
+/// (`x + λ·0` and `λ·1` are exact); ρ = 0 is ridge's Eq. 2.
+#[derive(Debug, Clone, Copy)]
+pub struct ElasticNetObjective {
+    /// ρ ∈ [0, 1]: the ℓ1 share of the penalty.
+    pub l1_ratio: f64,
+}
 
-impl Objective for LassoObjective {
-    fn label(&self) -> &'static str {
-        "lasso"
-    }
-
+impl Objective for ElasticNetObjective {
     fn supports(&self, form: Form) -> bool {
         form == Form::Primal
     }
@@ -432,40 +439,44 @@ impl Objective for LassoObjective {
         _n_lambda: f64,
     ) -> f64 {
         let n = n as f64;
-        let denom = col_sq_norm / n;
+        let curvature = col_sq_norm / n;
+        let denom = curvature + lambda * (1.0 - self.l1_ratio);
         if denom == 0.0 {
-            // Empty column: the ℓ1 term alone fixes the weight at 0.
+            // Empty column under a pure ℓ1 penalty: it alone fixes the
+            // weight at 0.
             return -beta_m;
         }
-        let rho_dot = dot_y_minus_w_a / n + denom * beta_m;
-        soft_threshold(rho_dot, lambda) / denom - beta_m
+        let rho_dot = dot_y_minus_w_a / n + curvature * beta_m;
+        soft_threshold(rho_dot, lambda * self.l1_ratio) / denom - beta_m
     }
 
     fn dual_delta(&self, _d: f64, _y: f64, _a: f64, _s: f64, _l: f64, _nl: f64) -> f64 {
-        panic!("lasso has no dual coordinate form")
+        panic!("the elastic net has no dual coordinate form")
     }
 
     fn primal_value(&self, problem: &RidgeProblem, beta: &[f32]) -> f64 {
         let w = problem.csc().matvec(beta).expect("beta length must be M");
         let fit = dense::squared_distance(&w, problem.labels());
         let l1: f64 = beta.iter().map(|&b| (b as f64).abs()).sum();
-        fit / (2.0 * problem.n() as f64) + problem.lambda() * l1
+        let l2 = dense::squared_norm(beta);
+        let rho = self.l1_ratio;
+        fit / (2.0 * problem.n() as f64) + problem.lambda() * (rho * l1 + (1.0 - rho) / 2.0 * l2)
     }
 
     fn dual_value(&self, _problem: &RidgeProblem, _alpha: &[f32]) -> f64 {
-        panic!("lasso maintains no dual iterate")
+        panic!("the elastic net maintains no dual iterate")
     }
 
     fn induced_primal(&self, _problem: &RidgeProblem, _alpha: &[f32]) -> Vec<f32> {
-        panic!("lasso maintains no dual iterate")
+        panic!("the elastic net maintains no dual iterate")
     }
 
     fn duality_gap(&self, problem: &RidgeProblem, _form: Form, weights: &[f32]) -> f64 {
-        // Dual of min (1/2N)‖Aβ − y‖² + λ‖β‖₁ over the scaled residual
-        // θ = (y − Aβ)/N: D(θ) = ⟨θ, y⟩ − (N/2)‖θ‖², feasible iff
-        // ‖Aᵀθ‖∞ ≤ λ. Scale the residual point into the feasible set
-        // (s = min(1, λ/‖Aᵀθ‖∞)) so weak duality makes the gap ≥ 0.
+        // Fenchel dual of min (1/2N)‖Aβ − y‖² + g(β) at the scaled
+        // residual θ = (y − Aβ)/N: D(θ) = ⟨θ, y⟩ − (N/2)‖θ‖² − g*(Aᵀθ).
         let n = problem.n() as f64;
+        let l1 = problem.lambda() * self.l1_ratio;
+        let l2 = problem.lambda() * (1.0 - self.l1_ratio);
         let w = problem.csc().matvec(weights).expect("beta length must be M");
         let theta: Vec<f32> = problem
             .labels()
@@ -474,17 +485,25 @@ impl Objective for LassoObjective {
             .map(|(&y, &wi)| ((y as f64 - wi as f64) / n) as f32)
             .collect();
         let corr = problem.csr().matvec_t(&theta).expect("theta length is N");
-        let inf_norm = corr
-            .iter()
-            .fold(0.0f64, |acc, &v| acc.max((v as f64).abs()));
-        let s = if inf_norm > problem.lambda() {
-            problem.lambda() / inf_norm
-        } else {
-            1.0
-        };
         let dot_y = dense::dot(&theta, problem.labels());
         let sq = dense::squared_norm(&theta);
-        let dual = s * dot_y - s * s * n / 2.0 * sq;
+        let dual = if l2 > 0.0 {
+            // g* is finite everywhere: Σ S(|aₘᵀθ|, λρ)² / (2λ(1−ρ)).
+            let conj: f64 = corr
+                .iter()
+                .map(|&v| soft_threshold((v as f64).abs(), l1).powi(2))
+                .sum();
+            dot_y - n / 2.0 * sq - conj / (2.0 * l2)
+        } else {
+            // Pure ℓ1: g* is the indicator of ‖Aᵀθ‖∞ ≤ λ. Scale the
+            // residual point into the feasible set
+            // (s = min(1, λ/‖Aᵀθ‖∞)) so weak duality makes the gap ≥ 0.
+            let inf_norm = corr
+                .iter()
+                .fold(0.0f64, |acc, &v| acc.max((v as f64).abs()));
+            let s = if inf_norm > l1 { l1 / inf_norm } else { 1.0 };
+            s * dot_y - s * s * n / 2.0 * sq
+        };
         (self.primal_value(problem, weights) - dual).max(0.0)
     }
 }
@@ -492,7 +511,7 @@ impl Objective for LassoObjective {
 /// The objective registry: a `Copy` tag engines store and dispatch on.
 /// Defaults to [`ObjectiveKind::Ridge`], so every existing constructor
 /// keeps its exact pre-trait behaviour.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub enum ObjectiveKind {
     /// Ridge regression (the paper's objective; primal and dual forms).
     #[default]
@@ -501,75 +520,99 @@ pub enum ObjectiveKind {
     Logistic,
     /// Hinge-loss SVM (dual form).
     Svm,
-    /// Lasso (primal form).
+    /// Lasso (primal form): the elastic net at ρ = 1.
     Lasso,
+    /// Elastic net (primal form).
+    ElasticNet {
+        /// ρ ∈ [0, 1]: the ℓ1 share of the penalty
+        /// ([`ObjectiveKind::validate`] rejects anything else).
+        l1_ratio: f64,
+    },
 }
 
 impl ObjectiveKind {
-    /// Every registered objective, in CLI listing order.
-    pub const ALL: [ObjectiveKind; 4] = [
+    /// Every registered objective, in CLI listing order; the elastic net
+    /// is listed at the mix [`ObjectiveKind::parse`] gives it.
+    pub const ALL: [ObjectiveKind; 5] = [
         ObjectiveKind::Ridge,
         ObjectiveKind::Logistic,
         ObjectiveKind::Svm,
         ObjectiveKind::Lasso,
+        ObjectiveKind::ElasticNet { l1_ratio: 0.5 },
     ];
 
-    /// Parse a CLI value.
+    /// Parse a CLI value; `elastic-net` gets the even mix ρ = 0.5.
     pub fn parse(s: &str) -> Result<ObjectiveKind, String> {
-        match s {
-            "ridge" => Ok(ObjectiveKind::Ridge),
-            "logistic" => Ok(ObjectiveKind::Logistic),
-            "svm" => Ok(ObjectiveKind::Svm),
-            "lasso" => Ok(ObjectiveKind::Lasso),
-            other => Err(format!(
-                "unknown objective {other:?} (ridge|logistic|svm|lasso)"
-            )),
-        }
+        ObjectiveKind::ALL
+            .into_iter()
+            .find(|kind| kind.label() == s)
+            .ok_or_else(|| {
+                format!("unknown objective {s:?} (ridge|logistic|svm|lasso|elastic-net)")
+            })
     }
 
-    /// The trait object behind this tag.
-    pub fn as_objective(self) -> &'static dyn Objective {
+    /// Run `f` on the trait implementation behind this tag.
+    fn with<R>(self, f: impl FnOnce(&dyn Objective) -> R) -> R {
         match self {
-            ObjectiveKind::Ridge => &RidgeObjective,
-            ObjectiveKind::Logistic => &LogisticObjective,
-            ObjectiveKind::Svm => &SvmObjective,
-            ObjectiveKind::Lasso => &LassoObjective,
+            ObjectiveKind::Ridge => f(&RidgeObjective),
+            ObjectiveKind::Logistic => f(&LogisticObjective),
+            ObjectiveKind::Svm => f(&SvmObjective),
+            ObjectiveKind::Lasso => f(&ElasticNetObjective { l1_ratio: 1.0 }),
+            ObjectiveKind::ElasticNet { l1_ratio } => f(&ElasticNetObjective { l1_ratio }),
         }
     }
 
-    /// Short lowercase name.
+    /// Short lowercase name (CLI value, model header, figure legends).
     pub fn label(self) -> &'static str {
-        self.as_objective().label()
+        match self {
+            ObjectiveKind::Ridge => "ridge",
+            ObjectiveKind::Logistic => "logistic",
+            ObjectiveKind::Svm => "svm",
+            ObjectiveKind::Lasso => "lasso",
+            ObjectiveKind::ElasticNet { .. } => "elastic-net",
+        }
     }
 
     /// Whether this objective has a coordinate update for `form`.
     pub fn supports(self, form: Form) -> bool {
-        self.as_objective().supports(form)
+        self.with(|obj| obj.supports(form))
+    }
+
+    /// Whether labels must be ±1 (the classification duals).
+    pub fn requires_binary_labels(self) -> bool {
+        self.with(|obj| obj.requires_binary_labels())
     }
 
     /// The form a solver should default to for this objective.
     pub fn default_form(self) -> Form {
         match self {
-            ObjectiveKind::Ridge | ObjectiveKind::Lasso => Form::Primal,
+            ObjectiveKind::Ridge | ObjectiveKind::Lasso | ObjectiveKind::ElasticNet { .. } => {
+                Form::Primal
+            }
             ObjectiveKind::Logistic | ObjectiveKind::Svm => Form::Dual,
         }
     }
 
-    /// Check the objective against a problem and form: form support plus
-    /// the ±1-label requirement of the classification duals.
+    /// Check the objective against a problem and form: the elastic-net
+    /// mix, form support, and the ±1-label requirement of the
+    /// classification duals.
     pub fn validate(self, problem: &RidgeProblem, form: Form) -> Result<(), ObjectiveError> {
-        let obj = self.as_objective();
-        if !obj.supports(form) {
+        if let ObjectiveKind::ElasticNet { l1_ratio } = self {
+            if !(0.0..=1.0).contains(&l1_ratio) {
+                return Err(ObjectiveError::InvalidL1Ratio { l1_ratio });
+            }
+        }
+        if !self.supports(form) {
             return Err(ObjectiveError::UnsupportedForm {
-                objective: obj.label(),
+                objective: self.label(),
                 form,
             });
         }
-        if obj.requires_binary_labels()
+        if self.requires_binary_labels()
             && !problem.labels().iter().all(|&y| y == 1.0 || y == -1.0)
         {
             return Err(ObjectiveError::NonBinaryLabels {
-                objective: obj.label(),
+                objective: self.label(),
             });
         }
         Ok(())
@@ -595,7 +638,7 @@ impl ObjectiveKind {
                 lambda,
                 n_lambda,
             ),
-            ObjectiveKind::Lasso => LassoObjective.primal_delta(
+            ObjectiveKind::Lasso => ElasticNetObjective { l1_ratio: 1.0 }.primal_delta(
                 dot_y_minus_w_a,
                 beta_m,
                 col_sq_norm,
@@ -603,14 +646,11 @@ impl ObjectiveKind {
                 lambda,
                 n_lambda,
             ),
-            other => other.as_objective().primal_delta(
-                dot_y_minus_w_a,
-                beta_m,
-                col_sq_norm,
-                n,
-                lambda,
-                n_lambda,
-            ),
+            ObjectiveKind::ElasticNet { l1_ratio } => ElasticNetObjective { l1_ratio }
+                .primal_delta(dot_y_minus_w_a, beta_m, col_sq_norm, n, lambda, n_lambda),
+            other => other.with(|obj| {
+                obj.primal_delta(dot_y_minus_w_a, beta_m, col_sq_norm, n, lambda, n_lambda)
+            }),
         }
     }
 
@@ -632,35 +672,35 @@ impl ObjectiveKind {
             ObjectiveKind::Svm => {
                 SvmObjective.dual_delta(dot_wbar_a, y_n, alpha_n, row_sq_norm, lambda, n_lambda)
             }
-            other => other
-                .as_objective()
-                .dual_delta(dot_wbar_a, y_n, alpha_n, row_sq_norm, lambda, n_lambda),
+            other => other.with(|obj| {
+                obj.dual_delta(dot_wbar_a, y_n, alpha_n, row_sq_norm, lambda, n_lambda)
+            }),
         }
     }
 
     /// [`Objective::primal_value`].
     pub fn primal_value(self, problem: &RidgeProblem, beta: &[f32]) -> f64 {
-        self.as_objective().primal_value(problem, beta)
+        self.with(|obj| obj.primal_value(problem, beta))
     }
 
     /// [`Objective::dual_value`].
     pub fn dual_value(self, problem: &RidgeProblem, alpha: &[f32]) -> f64 {
-        self.as_objective().dual_value(problem, alpha)
+        self.with(|obj| obj.dual_value(problem, alpha))
     }
 
     /// [`Objective::induced_primal`].
     pub fn induced_primal(self, problem: &RidgeProblem, alpha: &[f32]) -> Vec<f32> {
-        self.as_objective().induced_primal(problem, alpha)
+        self.with(|obj| obj.induced_primal(problem, alpha))
     }
 
     /// [`Objective::margin_loss`].
     pub fn margin_loss(self, margin: f64) -> f64 {
-        self.as_objective().margin_loss(margin)
+        self.with(|obj| obj.margin_loss(margin))
     }
 
     /// [`Objective::duality_gap`].
     pub fn duality_gap(self, problem: &RidgeProblem, form: Form, weights: &[f32]) -> f64 {
-        self.as_objective().duality_gap(problem, form, weights)
+        self.with(|obj| obj.duality_gap(problem, form, weights))
     }
 }
 
@@ -681,7 +721,7 @@ mod tests {
         for kind in ObjectiveKind::ALL {
             assert_eq!(ObjectiveKind::parse(kind.label()), Ok(kind));
         }
-        assert!(ObjectiveKind::parse("huber").unwrap_err().contains("lasso"));
+        assert!(ObjectiveKind::parse("huber").unwrap_err().contains("lasso|elastic-net"));
         assert_eq!(ObjectiveKind::default(), ObjectiveKind::Ridge);
         assert_eq!(format!("{}", ObjectiveKind::Svm), "svm");
     }
@@ -693,6 +733,9 @@ mod tests {
         assert!(!ObjectiveKind::Logistic.supports(Primal) && ObjectiveKind::Logistic.supports(Dual));
         assert!(!ObjectiveKind::Svm.supports(Primal) && ObjectiveKind::Svm.supports(Dual));
         assert!(ObjectiveKind::Lasso.supports(Primal) && !ObjectiveKind::Lasso.supports(Dual));
+        let en = ObjectiveKind::ElasticNet { l1_ratio: 0.3 };
+        assert!(en.supports(Primal) && !en.supports(Dual));
+        assert_eq!(en.default_form(), Primal);
         assert_eq!(ObjectiveKind::Ridge.default_form(), Primal);
         assert_eq!(ObjectiveKind::Svm.default_form(), Dual);
         assert_eq!(ObjectiveKind::Logistic.default_form(), Dual);
@@ -731,10 +774,22 @@ mod tests {
             ObjectiveKind::Svm.validate(&p, Form::Primal),
             Err(ObjectiveError::UnsupportedForm { .. })
         ));
-        assert!(matches!(
-            ObjectiveKind::Lasso.validate(&p, Form::Dual),
-            Err(ObjectiveError::UnsupportedForm { .. })
-        ));
+        for primal_only in [ObjectiveKind::Lasso, ObjectiveKind::ElasticNet { l1_ratio: 0.5 }] {
+            assert!(matches!(
+                primal_only.validate(&p, Form::Dual),
+                Err(ObjectiveError::UnsupportedForm { .. })
+            ));
+        }
+        for l1_ratio in [0.0, 1.0] {
+            assert!(ObjectiveKind::ElasticNet { l1_ratio }.validate(&p, Form::Primal).is_ok());
+        }
+        for l1_ratio in [-0.1, 1.5, f64::NAN, f64::INFINITY] {
+            let err = ObjectiveKind::ElasticNet { l1_ratio }
+                .validate(&p, Form::Primal)
+                .unwrap_err();
+            assert!(matches!(err, ObjectiveError::InvalidL1Ratio { .. }));
+            assert!(err.to_string().contains("[0, 1]"), "{err}");
+        }
         let reg =
             RidgeProblem::from_labelled(&scd_datasets::dense_gaussian(10, 4, 1), 0.1).unwrap();
         assert!(matches!(
@@ -777,6 +832,15 @@ mod tests {
     }
 
     #[test]
+    fn soft_threshold_cases() {
+        assert_eq!(soft_threshold(3.0, 1.0), 2.0);
+        assert_eq!(soft_threshold(-3.0, 1.0), -2.0);
+        assert_eq!(soft_threshold(0.5, 1.0), 0.0);
+        assert_eq!(soft_threshold(-0.5, 1.0), 0.0);
+        assert_eq!(soft_threshold(1.0, 1.0), 0.0);
+    }
+
+    #[test]
     fn lasso_update_soft_thresholds() {
         // Strong correlation: moves toward the thresholded target.
         let d = ObjectiveKind::Lasso.primal_delta(6.0, 0.0, 4.0, 1, 0.5, 0.5);
@@ -810,6 +874,9 @@ mod tests {
         // Stable for large |margin|.
         assert!(ObjectiveKind::Logistic.margin_loss(800.0).abs() < 1e-12);
         assert!((ObjectiveKind::Logistic.margin_loss(-800.0) - 800.0).abs() < 1e-9);
+        // 0·log 0 = 0 in the logistic dual's entropy.
+        assert_eq!(xlogx(0.0), 0.0);
+        assert!((xlogx(0.5) - 0.5 * 0.5f64.ln()).abs() < 1e-15);
     }
 
     #[test]

@@ -1,12 +1,16 @@
 //! Property tests of the Objective layer: every coordinate update is the
 //! exact optimizer of its 1-d subproblem, weak duality holds for random
 //! feasible dual iterates, ridge through the trait stays bit-identical to
-//! the legacy closed forms, and all four objectives actually converge
-//! under the sequential and SySCD engines.
+//! the legacy closed forms, every objective actually converges under the
+//! sequential and SySCD engines, and the classification duals and the
+//! elastic net behave as their standalone solvers did over whole epochs.
 
 use proptest::prelude::*;
-use scd_core::{Form, ObjectiveKind, RidgeProblem, SequentialScd, Solver, SyscdScd};
-use scd_datasets::dense_random;
+use scd_core::{
+    exact_primal, Form, ObjectiveKind, RidgeProblem, SequentialScd, Solver, SyscdScd, TrainedModel,
+};
+use scd_datasets::{dense_gaussian, dense_random, webspam_like};
+use scd_sparse::dense;
 
 /// The SVM coordinate subproblem (signed-α convention, a = y·α ∈ [0, 1]):
 /// ψ(a) = a(1 − margin) − (a − a_old)²·coupling/2, maximized by the
@@ -168,7 +172,7 @@ fn ridge_through_the_trait_is_bit_identical() {
     }
 }
 
-/// All four objectives make real progress on their natural form under
+/// Every objective makes real progress on its natural form under
 /// both the sequential engine and the SySCD CPU backend: the gap never
 /// increases, shrinks strictly while above the float floor, and at least
 /// halves over ten epochs.
@@ -221,4 +225,108 @@ fn every_objective_converges_on_seq_and_syscd() {
             );
         }
     }
+}
+
+/// The SDCA classification duals over whole epochs: a = y·α never leaves
+/// the box (SVM) or its strict interior (logistic), the engine's shared
+/// vector is Aᵀα, successive epochs move the iterate less, and the
+/// induced model classifies its training data.
+#[test]
+fn classification_duals_stay_feasible_and_learn_to_classify() {
+    for (kind, seed) in [(ObjectiveKind::Svm, 21), (ObjectiveKind::Logistic, 31)] {
+        let p = RidgeProblem::from_labelled(&webspam_like(150, 100, 10, seed), 1e-2).unwrap();
+        let mut solver = SequentialScd::dual(&p, 1).with_objective(kind);
+        let mut moves = Vec::new();
+        for _ in 0..50 {
+            let before = solver.weights();
+            solver.epoch(&p);
+            let alpha = solver.weights();
+            for (&al, &y) in alpha.iter().zip(p.labels()) {
+                let a = y * al;
+                match kind {
+                    ObjectiveKind::Svm => assert!((0.0..=1.0).contains(&a), "svm a = {a}"),
+                    _ => assert!(a > 0.0 && a < 1.0, "logistic a = {a}"),
+                }
+            }
+            moves.push(dense::max_abs_diff(&alpha, &before));
+        }
+        let from_scratch = p.csr().matvec_t(&solver.weights()).unwrap();
+        assert!(dense::max_abs_diff(&solver.shared_vector(), &from_scratch) < 1e-3, "{kind}");
+        assert!(moves[2] < moves[1], "{kind}: updates must contract: {moves:?}");
+        let model = TrainedModel::from_weights(&p, kind, Form::Dual, solver.weights());
+        let acc = model.accuracy(p.csr(), p.labels());
+        assert!(acc > 0.9, "{kind}: train accuracy {acc}");
+    }
+}
+
+fn elastic_net_weights(p: &RidgeProblem, l1_ratio: f64, seed: u64, epochs: usize) -> Vec<f32> {
+    let mut s =
+        SequentialScd::primal(p, seed).with_objective(ObjectiveKind::ElasticNet { l1_ratio });
+    for _ in 0..epochs {
+        s.epoch(p);
+    }
+    s.weights()
+}
+
+fn zeros(weights: &[f32]) -> usize {
+    weights.iter().filter(|&&b| b == 0.0).count()
+}
+
+/// Exact coordinate descent never increases the elastic-net objective.
+#[test]
+fn elastic_net_objective_decreases_monotonically() {
+    let p = RidgeProblem::from_labelled(&dense_gaussian(40, 12, 9), 0.02).unwrap();
+    let kind = ObjectiveKind::ElasticNet { l1_ratio: 0.5 };
+    let mut s = SequentialScd::primal(&p, 1).with_objective(kind);
+    let mut prev = kind.primal_value(&p, &s.weights());
+    for _ in 0..30 {
+        s.epoch(&p);
+        let cur = kind.primal_value(&p, &s.weights());
+        // Allow f32 shared-vector rounding noise.
+        assert!(cur <= prev + 1e-6 * prev.abs().max(1e-9), "{prev} -> {cur}");
+        prev = cur;
+    }
+}
+
+/// ρ = 1 is the lasso, bit for bit: iterates on both CPU engines and the
+/// duality gap.
+#[test]
+fn elastic_net_at_rho_one_is_lasso_bitwise() {
+    let p = RidgeProblem::from_labelled(&dense_random(60, 10, 11), 1e-2).unwrap();
+    let corner = ObjectiveKind::ElasticNet { l1_ratio: 1.0 };
+    let mut lasso = SequentialScd::primal(&p, 7).with_objective(ObjectiveKind::Lasso);
+    let mut en = SequentialScd::primal(&p, 7).with_objective(corner);
+    let mut lasso_sys =
+        SyscdScd::new(&p, Form::Primal, 4, 7).with_objective(ObjectiveKind::Lasso);
+    let mut en_sys = SyscdScd::new(&p, Form::Primal, 4, 7).with_objective(corner);
+    for _ in 0..5 {
+        lasso.epoch(&p);
+        en.epoch(&p);
+        lasso_sys.epoch(&p);
+        en_sys.epoch(&p);
+        assert_eq!(lasso.weights(), en.weights());
+        assert_eq!(lasso_sys.weights(), en_sys.weights());
+        assert_eq!(lasso.duality_gap(&p).to_bits(), en.duality_gap(&p).to_bits());
+    }
+}
+
+/// ρ = 0 is ridge: the iterate converges to the closed-form solution.
+#[test]
+fn elastic_net_at_rho_zero_solves_ridge() {
+    let p = RidgeProblem::from_labelled(&dense_gaussian(40, 12, 9), 0.05).unwrap();
+    let beta = elastic_net_weights(&p, 0.0, 3, 200);
+    assert!(dense::max_abs_diff(&beta, &exact_primal(&p)) < 1e-3);
+}
+
+/// The ℓ1 term buys exact zeros: more of them than ridge leaves, and all
+/// of them once λρ exceeds max|⟨y, aₘ⟩|/N.
+#[test]
+fn elastic_net_l1_term_sparsifies() {
+    let p = RidgeProblem::from_labelled(&dense_gaussian(40, 12, 9), 0.5).unwrap();
+    let ridge_zeros = zeros(&elastic_net_weights(&p, 0.0, 2, 100));
+    let lasso_zeros = zeros(&elastic_net_weights(&p, 1.0, 2, 100));
+    assert!(lasso_zeros > ridge_zeros, "lasso {lasso_zeros} vs ridge {ridge_zeros} zeros");
+
+    let heavy = RidgeProblem::from_labelled(&dense_gaussian(40, 12, 9), 1e6).unwrap();
+    assert_eq!(zeros(&elastic_net_weights(&heavy, 1.0, 4, 5)), heavy.m());
 }

@@ -20,10 +20,10 @@
 //!   slowest worker. Pushes are applied on arrival (γ chosen for the
 //!   single delta, with averaging still damping by 1/K), so fast workers
 //!   overlap their communication with slow workers' compute.
-//! * **τ = ∞** — a true event-driven parameter server: nothing gates a
-//!   worker but its own round-trip latency. This supersedes the
-//!   round-robin approximation in [`crate::param_server`] — deltas land
-//!   in simulated-arrival order, not in a fixed interleave.
+//! * **τ = ∞** — the event-driven parameter server (Li et al. [6], the
+//!   distribution family §V-A sets aside for synchronous rounds):
+//!   nothing gates a worker but its own round-trip latency, and deltas
+//!   land in simulated-arrival order.
 //!
 //! ### Clock model
 //!

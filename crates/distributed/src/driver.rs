@@ -529,12 +529,11 @@ fn margin_gamma_search(
         .sum();
     let s2: f64 = delta.iter().map(|&d| (d as f64) * (d as f64)).sum();
     let reg_scale = 1.0 / (2.0 * full.lambda() * n * n);
-    let obj = objective.as_objective();
     let primal_of = |g: f64| {
         let loss: f64 = m0
             .iter()
             .zip(&m1)
-            .map(|(&a, &b)| obj.margin_loss(a + g * b))
+            .map(|(&a, &b)| objective.margin_loss(a + g * b))
             .sum::<f64>()
             / n;
         loss + (2.0 * g * s1 + g * g * s2) * reg_scale
@@ -568,7 +567,7 @@ pub(crate) fn choose_gamma(
         Aggregation::Adding | Aggregation::CocoaPlus => 1.0,
         // The Eq. 7 closed forms and the quadratic line search are
         // ridge-specific; the margin duals get a value-oracle search,
-        // lasso the conservative averaging step.
+        // the ℓ1 objectives the conservative averaging step.
         Aggregation::Adaptive | Aggregation::LineSearch
             if objective != ObjectiveKind::Ridge =>
         {

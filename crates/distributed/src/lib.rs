@@ -18,13 +18,12 @@
 //!   lost rounds by degraded aggregation; implements [`scd_core::Solver`]
 //!   so the figure harness drives distributed and single-node runs
 //!   identically.
-//! * [`param_server`] — the asynchronous parameter-server alternative [6]
-//!   the paper's introduction contrasts the synchronous design against;
-//!   its timing now runs on the discrete-event engine.
 //! * [`async_scd`] — bounded-staleness asynchronous rounds on the
 //!   deterministic event engine ([`scd_events`]): τ=0 reproduces the
-//!   synchronous barrier bit-identically, τ=∞ is a true event-driven
-//!   parameter server, anything between is SSP-style bounded staleness.
+//!   synchronous barrier bit-identically, τ=∞ is the event-driven
+//!   parameter server [6] the paper's introduction contrasts the
+//!   synchronous design against, anything between is SSP-style bounded
+//!   staleness.
 //!
 //! Delta traffic between workers and master goes through a pluggable wire
 //! format ([`scd_wire::WireFormat`], re-exported here): raw f32 (the
@@ -38,7 +37,6 @@ pub mod driver;
 pub mod fault;
 pub mod local;
 pub mod metrics;
-pub mod param_server;
 pub mod partition;
 pub mod runtime;
 pub mod source;
@@ -51,7 +49,6 @@ pub use driver::{
 pub use source::{PartitionSource, SetupCost};
 pub use fault::{FaultPlan, RoundFate};
 pub use metrics::RoundMetrics;
-pub use param_server::{ParamServerConfig, ParamServerScd};
 pub use local::LocalSolver;
 pub use partition::{partition_coords, partition_problem, LocalPartition, PartitionStrategy};
 pub use runtime::{RoundPool, RoundRuntime};

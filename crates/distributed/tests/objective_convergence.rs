@@ -1,20 +1,18 @@
 //! The Objective layer through the distributed drivers — the acceptance
 //! surface of the pluggable-objective change:
 //!
-//! * all four objectives converge (strictly decreasing duality gap over
+//! * every objective converges (strictly decreasing duality gap over
 //!   ten epochs) under the synchronous driver with K=4 workers shipping
 //!   topk-ef:64 deltas;
 //! * τ=0 bounded-staleness rounds stay bit-identical to the synchronous
 //!   barrier for the non-ridge objectives too;
-//! * the parameter-server alternative trains the classification duals;
 //! * ridge through an objective-aware config replays the legacy driver
 //!   bit for bit.
 
 use scd_core::{Form, ObjectiveKind, RidgeProblem, Solver};
 use scd_datasets::dense_random;
 use scd_distributed::{
-    Aggregation, AsyncScd, DistributedConfig, DistributedScd, ParamServerConfig, ParamServerScd,
-    Staleness, WireFormat,
+    Aggregation, AsyncScd, DistributedConfig, DistributedScd, Staleness, WireFormat,
 };
 
 /// Well-conditioned two-class problem: λ large enough that every
@@ -122,29 +120,5 @@ fn ridge_objective_config_replays_the_legacy_driver() {
         }
         assert_eq!(a.weights(), b.weights(), "{form:?}");
         assert_eq!(a.shared_vector(), b.shared_vector(), "{form:?}");
-    }
-}
-
-#[test]
-fn param_server_trains_the_classification_duals() {
-    let full = full_problem();
-    for kind in [ObjectiveKind::Logistic, ObjectiveKind::Svm] {
-        // Staleness 1: on a dense, highly-correlated problem the default
-        // snapshot age (= worker count) makes the parameter server
-        // diverge for *every* objective, ridge included — exactly the
-        // hazard the paper's synchronous design argues against.
-        let config = ParamServerConfig::new(4, Form::Dual)
-            .with_objective(kind)
-            .with_staleness(1);
-        let mut ps = ParamServerScd::new(&full, &config);
-        let initial = ps.duality_gap(&full);
-        for _ in 0..10 {
-            ps.epoch(&full);
-        }
-        let last = ps.duality_gap(&full);
-        assert!(
-            last.is_finite() && last >= 0.0 && last < 0.5 * initial,
-            "{kind}: param-server gap {initial} -> {last}"
-        );
     }
 }

@@ -2,9 +2,7 @@
 //!
 //! The substrate for asynchronous distributed experiments: a virtual
 //! clock, a binary-heap event queue with **total `(time, seq)`
-//! ordering**, actor-labelled per-event traces, and channels whose
-//! delivery times come from the calibrated [`scd_perf_model`] link
-//! profiles.
+//! ordering**, and actor-labelled per-event traces.
 //!
 //! Design rules:
 //!
@@ -16,22 +14,18 @@
 //! * **The clock moves only by popping events.** `Engine::next()`
 //!   advances `now` to the popped event's time; scheduling into the past
 //!   panics. Simulated time is therefore monotone by construction.
-//! * **Timing comes from the perf model.** [`Channel`] charges
-//!   `latency + bytes/bandwidth` per message; [`FifoLink`] additionally
-//!   serializes messages that contend for one endpoint (a parameter
-//!   server's ingress). Compute durations are supplied by the caller
-//!   from `CpuProfile`/GPU cost models, fault delays from its fault
-//!   plan — the engine only orders what it is given.
+//! * **Timing comes from the caller.** Compute durations come from its
+//!   `CpuProfile`/GPU cost models, transfer times from its
+//!   `LinkProfile`s, fault delays from its fault plan — the engine only
+//!   orders what it is given.
 //!
-//! Built on top of this (in `scd-distributed`): `AsyncScd`, the
+//! Built on top of this: `scd-distributed`'s `AsyncScd`, the
 //! bounded-staleness asynchronous driver whose τ=0 mode reproduces the
-//! synchronous barrier bit-identically, and the event-timed parameter
-//! server.
+//! synchronous barrier bit-identically and whose τ=∞ mode is the
+//! repository's parameter server, and `scd-serve`'s load harness.
 
-pub mod channel;
 pub mod engine;
 pub mod queue;
 
-pub use channel::{Channel, FifoLink};
 pub use engine::{ActorId, Engine, TraceEntry};
 pub use queue::{EventKey, EventQueue};

@@ -29,11 +29,12 @@ pub struct Scored {
 }
 
 /// Map a decision value to a prediction under an objective's decision
-/// rule: the regressors (ridge, lasso) predict the score itself, the SVM
-/// predicts the ±1 sign, logistic predicts P(y = +1) = σ(score).
+/// rule: the regressors (ridge, lasso, elastic net) predict the score
+/// itself, the SVM predicts the ±1 sign, logistic predicts
+/// P(y = +1) = σ(score).
 pub fn prediction(objective: ObjectiveKind, decision: f32) -> f32 {
     match objective {
-        ObjectiveKind::Ridge | ObjectiveKind::Lasso => decision,
+        ObjectiveKind::Ridge | ObjectiveKind::Lasso | ObjectiveKind::ElasticNet { .. } => decision,
         ObjectiveKind::Svm => {
             if decision >= 0.0 {
                 1.0

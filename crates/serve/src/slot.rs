@@ -63,17 +63,26 @@ pub struct ModelSlot {
     lambda_bits: AtomicU64,
     /// Index into [`ObjectiveKind::ALL`]. Written inside the odd window.
     objective_tag: AtomicU64,
+    /// `f64::to_bits` of the elastic-net mix ρ (0 for every other
+    /// objective). Written inside the odd window.
+    l1_ratio_bits: AtomicU64,
     /// `f32::to_bits` of β. Written inside the odd window.
     words: Box<[AtomicU32]>,
     /// Reader retries observed (diagnostic; relaxed counter).
     retries: AtomicU64,
 }
 
-fn objective_tag(objective: ObjectiveKind) -> u64 {
-    ObjectiveKind::ALL
+/// The slot's two-word encoding of an objective: its position in
+/// [`ObjectiveKind::ALL`] and the bits of its elastic-net mix.
+fn objective_words(objective: ObjectiveKind) -> (u64, u64) {
+    let tag = ObjectiveKind::ALL
         .iter()
-        .position(|&k| k == objective)
-        .expect("every ObjectiveKind is in ALL") as u64
+        .position(|k| k.label() == objective.label())
+        .expect("every ObjectiveKind is in ALL") as u64;
+    match objective {
+        ObjectiveKind::ElasticNet { l1_ratio } => (tag, l1_ratio.to_bits()),
+        _ => (tag, 0),
+    }
 }
 
 impl ModelSlot {
@@ -85,6 +94,7 @@ impl ModelSlot {
             seq: AtomicU64::new(0),
             lambda_bits: AtomicU64::new(0),
             objective_tag: AtomicU64::new(0),
+            l1_ratio_bits: AtomicU64::new(0),
             words: (0..features).map(|_| AtomicU32::new(0)).collect(),
             retries: AtomicU64::new(0),
         }
@@ -132,8 +142,9 @@ impl ModelSlot {
         let seq = self.seq.load(Ordering::Relaxed) + 1;
         self.seq.store(seq, Ordering::Relaxed);
         self.lambda_bits.store(lambda.to_bits(), Ordering::Relaxed);
-        self.objective_tag
-            .store(objective_tag(objective), Ordering::Relaxed);
+        let (tag, l1_ratio_bits) = objective_words(objective);
+        self.objective_tag.store(tag, Ordering::Relaxed);
+        self.l1_ratio_bits.store(l1_ratio_bits, Ordering::Relaxed);
         for (word, &b) in self.words.iter().zip(beta) {
             word.store(b.to_bits(), Ordering::Relaxed);
         }
@@ -158,6 +169,7 @@ impl ModelSlot {
             let seq = self.seq.load(Ordering::Relaxed);
             let lambda = f64::from_bits(self.lambda_bits.load(Ordering::Relaxed));
             let tag = self.objective_tag.load(Ordering::Relaxed) as usize;
+            let l1_ratio = f64::from_bits(self.l1_ratio_bits.load(Ordering::Relaxed));
             for (out, word) in beta.iter_mut().zip(self.words.iter()) {
                 *out = f32::from_bits(word.load(Ordering::Relaxed));
             }
@@ -169,7 +181,10 @@ impl ModelSlot {
                 if seq == 0 {
                     return None;
                 }
-                let objective = ObjectiveKind::ALL[tag];
+                let objective = match ObjectiveKind::ALL[tag] {
+                    ObjectiveKind::ElasticNet { .. } => ObjectiveKind::ElasticNet { l1_ratio },
+                    other => other,
+                };
                 return Some(ModelSnapshot {
                     seq,
                     objective,
@@ -220,6 +235,10 @@ mod tests {
         assert_eq!(snap.seq, 2);
         assert_eq!(snap.objective, ObjectiveKind::Lasso);
         assert_eq!(snap.beta[2], 7.0);
+
+        let mixed = ObjectiveKind::ElasticNet { l1_ratio: 0.125 };
+        slot.publish(mixed, 0.5, &[0.0, 0.0, 7.0]);
+        assert_eq!(slot.read().unwrap().objective, mixed);
         assert!(format!("{slot:?}").contains("seq"));
     }
 

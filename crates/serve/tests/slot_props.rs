@@ -1,13 +1,13 @@
 //! The ISSUE 9 acceptance property: `ModelSlot` readers see only
 //! fully-published snapshots — bit-identical scoring before/after a
-//! swap, never a blend — including while a *live* parameter-server
-//! training loop publishes from another thread.
+//! swap, never a blend — including while a *live* distributed training
+//! loop publishes from another thread.
 
 use proptest::prelude::*;
 use proptest::collection::vec;
 use scd_core::{ObjectiveKind, RidgeProblem, Solver};
 use scd_datasets::{scale_values, webspam_like};
-use scd_distributed::{ParamServerConfig, ParamServerScd};
+use scd_distributed::{DistributedConfig, DistributedScd};
 use scd_serve::{batch_from_pairs, BatchScorer, ModelSlot};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
@@ -22,7 +22,7 @@ proptest! {
     #[test]
     fn read_returns_the_last_publish_exactly(
         features in 0usize..40,
-        publishes in vec((0usize..4, -1e3f64..1e3, -100f32..100.0), 1..12),
+        publishes in vec((0usize..ObjectiveKind::ALL.len(), -1e3f64..1e3, -100f32..100.0), 1..12),
     ) {
         let slot = ModelSlot::new(features);
         prop_assert_eq!(slot.read(), None);
@@ -112,14 +112,14 @@ fn concurrent_reads_never_observe_a_blend() {
     assert_eq!(slot.seq(), PUBLISHES);
 }
 
-/// The live-training acceptance test: a real `ParamServerScd` loop
+/// The live-training acceptance test: a real `DistributedScd` loop
 /// publishes its assembled weights at every round boundary while a
 /// serving thread scores a fixed batch. Every scored batch must be
 /// bit-identical to scoring the *recorded* weights of the snapshot's
 /// sequence number — proving reads are consistent before, during, and
 /// after hot swaps, never a blend of two rounds.
 #[test]
-fn scoring_is_bit_identical_across_live_param_server_swaps() {
+fn scoring_is_bit_identical_across_live_driver_swaps() {
     let data = scale_values(&webspam_like(160, 120, 8, 11), 0.3);
     let problem = RidgeProblem::from_labelled(&data, 1e-2).unwrap();
     let features = problem.m();
@@ -128,20 +128,18 @@ fn scoring_is_bit_identical_across_live_param_server_swaps() {
     let published: Arc<Mutex<Vec<(u64, Vec<f32>)>>> = Arc::new(Mutex::new(Vec::new()));
     let stop = Arc::new(AtomicBool::new(false));
 
-    // The trainer: a live param server running primal ridge (weights are
-    // β directly), publishing after every epoch.
+    // The trainer: the synchronous driver running primal ridge (weights
+    // are β directly), publishing after every epoch.
     let trainer = {
         let slot = Arc::clone(&slot);
         let published = Arc::clone(&published);
         let problem = RidgeProblem::from_labelled(&data, 1e-2).unwrap();
         thread::spawn(move || {
-            let config = ParamServerConfig::new(4, scd_core::Form::Primal)
-                .with_objective(ObjectiveKind::Ridge)
-                .with_seed(5);
-            let mut server = ParamServerScd::new(&problem, &config);
+            let config = DistributedConfig::new(4, scd_core::Form::Primal).with_seed(5);
+            let mut driver = DistributedScd::new(&problem, &config).unwrap();
             for _ in 0..30 {
-                server.epoch(&problem);
-                let beta = server.assemble_weights();
+                driver.epoch(&problem);
+                let beta = driver.weights();
                 // Record first, then publish: when a reader sees seq S,
                 // the recorded weights for S are already in the log.
                 let mut log = published.lock().unwrap();

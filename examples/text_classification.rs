@@ -1,14 +1,13 @@
 //! Web-spam filtering, the paper's motivating workload: train on a
 //! webspam-shaped corpus with a 75/25 train/test split (the paper's own
 //! protocol for the webspam sample) and compare ridge regression against
-//! the SVM extension, both trained by coordinate methods.
+//! the hinge-loss SVM objective, both trained by the same engine.
 //!
 //! ```sh
 //! cargo run --release --example text_classification
 //! ```
 
-use tpa_scd::core::extensions::SdcaSvm;
-use tpa_scd::core::{RidgeProblem, SequentialScd, Solver};
+use tpa_scd::core::{Form, ObjectiveKind, RidgeProblem, SequentialScd, Solver, TrainedModel};
 use tpa_scd::datasets::{train_test_split, webspam_like, DatasetStats};
 use tpa_scd::sparse::io::LabelledData;
 
@@ -54,7 +53,7 @@ fn main() {
     // Hinge-loss SVM by stochastic dual coordinate ascent — one of the
     // "other problems" the paper says these methods solve (§I).
     let svm_problem = RidgeProblem::from_labelled(&train, 1e-2).expect("valid problem");
-    let mut svm = SdcaSvm::new(&svm_problem, 1);
+    let mut svm = SequentialScd::dual(&svm_problem, 1).with_objective(ObjectiveKind::Svm);
     for _ in 0..40 {
         svm.epoch(&svm_problem);
     }
@@ -62,10 +61,15 @@ fn main() {
         "\nSVM (SDCA, 40 epochs): duality gap {:.1e}",
         svm.duality_gap(&svm_problem)
     );
+    // The dual iterate maps to primal weights through the objective's
+    // optimality condition β = Aᵀα/λN.
+    let svm_beta =
+        TrainedModel::from_weights(&svm_problem, ObjectiveKind::Svm, Form::Dual, svm.weights())
+            .beta;
     println!(
         "  train accuracy {:.1}%, test accuracy {:.1}%",
-        100.0 * accuracy(svm.weights(), &train),
-        100.0 * accuracy(svm.weights(), &test)
+        100.0 * accuracy(&svm_beta, &train),
+        100.0 * accuracy(&svm_beta, &test)
     );
 
     let test_acc = accuracy(&ridge_beta, &test);

@@ -4,13 +4,12 @@
 //! figure CSVs stable artifacts rather than single samples.
 
 use std::sync::Arc;
-use tpa_scd::core::extensions::{ElasticNetCd, LogisticSdca, SdcaSvm};
 use tpa_scd::core::{
-    AsyncSimScd, Form, MiniBatchSdca, RidgeProblem, SequentialScd, Solver, TpaScd,
+    AsyncSimScd, Form, MiniBatchSdca, ObjectiveKind, RidgeProblem, SequentialScd, Solver, TpaScd,
 };
 use tpa_scd::datasets::{criteo_like, scale_values, webspam_like};
 use tpa_scd::distributed::{
-    Aggregation, DistributedConfig, DistributedScd, ParamServerConfig, ParamServerScd,
+    Aggregation, AsyncScd, DistributedConfig, DistributedScd, Staleness,
 };
 use tpa_scd::gpu::{Gpu, GpuProfile};
 
@@ -77,12 +76,11 @@ fn distributed_cluster_is_deterministic() {
         &p,
         5,
     );
+    // The event engine's parameter server: no staleness bound.
     run_twice(
         || {
-            let config = ParamServerConfig::new(3, Form::Primal)
-                .with_chunk(8)
-                .with_seed(8);
-            ParamServerScd::new(&p, &config)
+            let config = DistributedConfig::new(3, Form::Primal).with_seed(8);
+            AsyncScd::new(&p, &config, Staleness::Unbounded).unwrap()
         },
         &p,
         5,
@@ -90,34 +88,21 @@ fn distributed_cluster_is_deterministic() {
 }
 
 #[test]
-fn extension_solvers_are_deterministic() {
+fn every_objective_is_deterministic() {
     let p = RidgeProblem::from_labelled(&webspam_like(100, 80, 8, 21), 1e-2).unwrap();
-    let run_pair = |f: &mut dyn FnMut() -> Vec<f32>| {
-        let a = f();
-        let b = f();
-        assert_eq!(a, b);
-    };
-    run_pair(&mut || {
-        let mut s = SdcaSvm::new(&p, 4);
-        for _ in 0..4 {
-            s.epoch(&p);
-        }
-        s.weights().to_vec()
-    });
-    run_pair(&mut || {
-        let mut s = LogisticSdca::new(&p, 4);
-        for _ in 0..4 {
-            s.epoch(&p);
-        }
-        s.weights().to_vec()
-    });
-    run_pair(&mut || {
-        let mut s = ElasticNetCd::new(&p, 0.5, 4);
-        for _ in 0..4 {
-            s.epoch(&p);
-        }
-        s.weights().to_vec()
-    });
+    for kind in ObjectiveKind::ALL {
+        run_twice(
+            || {
+                match kind.default_form() {
+                    Form::Primal => SequentialScd::primal(&p, 4),
+                    Form::Dual => SequentialScd::dual(&p, 4),
+                }
+                .with_objective(kind)
+            },
+            &p,
+            4,
+        );
+    }
 }
 
 #[test]
