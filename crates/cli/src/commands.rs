@@ -736,10 +736,14 @@ pub fn train(args: &Args, out: &mut dyn Write) -> Result<(), String> {
         correct as f64 / problem.n() as f64
     };
     let mut recorder = ConvergenceRecorder::new();
-    recorder.record_initial(solver.duality_gap(&problem));
+    // The weights change only in `epoch`, so the last gap evaluated is
+    // the final one.
+    let mut last_gap = solver.duality_gap(&problem);
+    recorder.record_initial(last_gap);
     for epoch in 1..=epochs {
         let stats = solver.epoch(&problem);
         let gap = solver.duality_gap(&problem);
+        last_gap = gap;
         recorder.record_epoch(stats.breakdown, gap, 0.0);
         let seconds = recorder.total_seconds();
         if epoch % eval_every == 0 || epoch == epochs || (!target_gap.is_nan() && gap <= target_gap) {
@@ -757,7 +761,7 @@ pub fn train(args: &Args, out: &mut dyn Write) -> Result<(), String> {
     }
     // Full-precision gap: the line shard-vs-memory bit-identity checks
     // compare (f64 round-trips exactly through 17 significant digits).
-    writeln!(out, "final gap {:.17e}", solver.duality_gap(&problem)).map_err(|e| e.to_string())?;
+    writeln!(out, "final gap {last_gap:.17e}").map_err(|e| e.to_string())?;
     // Rate-of-convergence report: a gap that hit exact 0 (or went
     // non-finite) is called out by epoch rather than fed into the
     // log-scale fit as log10(0) = −∞.

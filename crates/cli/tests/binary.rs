@@ -522,6 +522,35 @@ fn store_misuse_exits_with_clean_one_line_errors() {
 }
 
 #[test]
+fn more_workers_than_coordinates_is_a_one_line_error() {
+    // 4 examples × 3 features: the dual form partitions the 4 rows, the
+    // primal form the 3 columns, so K = 5 and K = 4 overflow them.
+    let data = tmp("k_over_data.svm");
+    let data_s = data.to_str().unwrap();
+    let out = scd(&[
+        "generate", "--kind", "webspam", "--rows", "4", "--cols", "3", "--nnz-per-row", "2",
+        "--output", data_s,
+    ]);
+    assert!(out.status.success());
+    let train = |extra: &[&str]| {
+        let mut args = vec!["train", "--data", data_s, "--features", "3", "--epochs", "1"];
+        args.extend_from_slice(extra);
+        scd(&args)
+    };
+    let dual = "cannot spread 4 examples over 5 workers";
+    assert_one_line_error(&train(&["--form", "dual", "--workers", "5"]), dual);
+    let primal = "cannot spread 3 features over 4 workers";
+    assert_one_line_error(&train(&["--form", "primal", "--workers", "4"]), primal);
+    // The event runtime builds its workers the same way.
+    let event = ["--form", "primal", "--workers", "4", "--runtime", "event"];
+    assert_one_line_error(&train(&event), primal);
+    // K = N and K = M still train.
+    assert!(train(&["--form", "dual", "--workers", "4"]).status.success());
+    assert!(train(&["--form", "primal", "--workers", "3"]).status.success());
+    std::fs::remove_file(&data).ok();
+}
+
+#[test]
 fn host_threads_sizes_the_shared_scheduler() {
     // A fresh process, so --host-threads can claim the process-wide
     // scheduler; the distributed GPU run then schedules on 2 host threads.

@@ -6,6 +6,8 @@
 //!
 //! Layout:
 //! * [`problem`] — primal/dual objectives, duality gap (§II).
+//! * [`products`] — the matrix passes behind them (Aβ, Aᵀα, norms, the
+//!   CSR→CSC transpose), data-parallel and bit-identical at any width.
 //! * [`updates`] — the scalar coordinate update rules (Eqs. 2 and 4).
 //! * [`objective`] — the pluggable objective layer (ridge, logistic,
 //!   hinge/SVM, lasso, elastic net — the other uses of SCD that §I
@@ -38,6 +40,7 @@ pub mod model;
 pub mod objective;
 pub mod path;
 pub mod problem;
+pub mod products;
 pub mod recorder;
 pub mod seq;
 pub mod solver;

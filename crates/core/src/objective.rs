@@ -30,6 +30,7 @@
 //! reaches the hot loops or the GPU kernel structs.
 
 use crate::problem::{Form, RidgeProblem};
+use crate::products;
 use crate::updates;
 use scd_sparse::dense;
 
@@ -249,12 +250,60 @@ fn log1p_exp_neg(margin: f64) -> f64 {
 
 /// Shared helpers for the SDCA classification duals (signed-α storage).
 fn sdca_induced_primal(problem: &RidgeProblem, alpha: &[f32]) -> Vec<f32> {
-    let mut w_bar = problem
-        .csr()
-        .matvec_t(alpha)
-        .expect("alpha length must be N");
+    let mut w_bar = problem.dual_shared(alpha);
     dense::scale((1.0 / problem.n_lambda()) as f32, &mut w_bar);
     w_bar
+}
+
+/// (1/N)Σ ℓ(yₙ⟨āₙ, β⟩) + (λ/2)‖β‖² — the SDCA duals' primal value, with
+/// the margins computed on the shared host pool and the losses summed in
+/// example order.
+fn sdca_primal_value(obj: &impl Objective, problem: &RidgeProblem, beta: &[f32]) -> f64 {
+    let mut loss = 0.0f64;
+    let margins = products::row_dots(&scd_sched::global(), problem.csr(), beta);
+    for (&dot, &y) in margins.iter().zip(problem.labels()) {
+        loss += obj.margin_loss(y as f64 * dot);
+    }
+    let reg: f64 = beta.iter().map(|&b| (b as f64) * (b as f64)).sum();
+    loss / problem.n() as f64 + problem.lambda() / 2.0 * reg
+}
+
+/// (1/N)Σ φ(yₙαₙ) − (λ/2)‖β‖² — the SDCA duals' value given the induced
+/// β, for the per-example conjugate term `phi`.
+fn sdca_dual_value(
+    problem: &RidgeProblem,
+    alpha: &[f32],
+    beta: &[f32],
+    phi: impl Fn(f64) -> f64,
+) -> f64 {
+    let sum: f64 = alpha
+        .iter()
+        .zip(problem.labels())
+        .map(|(&al, &y)| phi((y * al) as f64))
+        .sum();
+    let reg: f64 = beta.iter().map(|&b| (b as f64) * (b as f64)).sum();
+    sum / problem.n() as f64 - problem.lambda() / 2.0 * reg
+}
+
+/// P(β(α)) − D(α) clamped at 0, with β(α) = Aᵀα/λN computed once.
+fn sdca_duality_gap(
+    obj: &impl Objective,
+    problem: &RidgeProblem,
+    alpha: &[f32],
+    phi: impl Fn(f64) -> f64,
+) -> f64 {
+    let beta = sdca_induced_primal(problem, alpha);
+    (sdca_primal_value(obj, problem, &beta) - sdca_dual_value(problem, alpha, &beta, phi)).max(0.0)
+}
+
+/// The logistic dual's per-example conjugate term: the entropy of (a, 1 − a).
+fn logistic_phi(a: f64) -> f64 {
+    -xlogx(a) - xlogx(1.0 - a)
+}
+
+/// The hinge dual's per-example conjugate term.
+fn svm_phi(a: f64) -> f64 {
+    a
 }
 
 /// L2-regularized logistic regression, trained on the dual via SDCA with
@@ -306,26 +355,12 @@ impl Objective for LogisticObjective {
     }
 
     fn primal_value(&self, problem: &RidgeProblem, beta: &[f32]) -> f64 {
-        let mut loss = 0.0f64;
-        for (i, row) in problem.csr().iter_rows().enumerate() {
-            loss += self.margin_loss(problem.labels()[i] as f64 * row.dot_dense(beta));
-        }
-        let reg: f64 = beta.iter().map(|&b| (b as f64) * (b as f64)).sum();
-        loss / problem.n() as f64 + problem.lambda() / 2.0 * reg
+        sdca_primal_value(self, problem, beta)
     }
 
     fn dual_value(&self, problem: &RidgeProblem, alpha: &[f32]) -> f64 {
-        let entropy: f64 = alpha
-            .iter()
-            .zip(problem.labels())
-            .map(|(&al, &y)| {
-                let a = (y * al) as f64;
-                -xlogx(a) - xlogx(1.0 - a)
-            })
-            .sum();
         let beta = self.induced_primal(problem, alpha);
-        let reg: f64 = beta.iter().map(|&b| (b as f64) * (b as f64)).sum();
-        entropy / problem.n() as f64 - problem.lambda() / 2.0 * reg
+        sdca_dual_value(problem, alpha, &beta, logistic_phi)
     }
 
     fn induced_primal(&self, problem: &RidgeProblem, alpha: &[f32]) -> Vec<f32> {
@@ -337,8 +372,7 @@ impl Objective for LogisticObjective {
     }
 
     fn duality_gap(&self, problem: &RidgeProblem, _form: Form, weights: &[f32]) -> f64 {
-        let beta = self.induced_primal(problem, weights);
-        (self.primal_value(problem, &beta) - self.dual_value(problem, weights)).max(0.0)
+        sdca_duality_gap(self, problem, weights, logistic_phi)
     }
 }
 
@@ -380,23 +414,12 @@ impl Objective for SvmObjective {
     }
 
     fn primal_value(&self, problem: &RidgeProblem, beta: &[f32]) -> f64 {
-        let mut hinge = 0.0f64;
-        for (i, row) in problem.csr().iter_rows().enumerate() {
-            hinge += self.margin_loss(problem.labels()[i] as f64 * row.dot_dense(beta));
-        }
-        let reg: f64 = beta.iter().map(|&b| (b as f64) * (b as f64)).sum();
-        hinge / problem.n() as f64 + problem.lambda() / 2.0 * reg
+        sdca_primal_value(self, problem, beta)
     }
 
     fn dual_value(&self, problem: &RidgeProblem, alpha: &[f32]) -> f64 {
-        let sum_a: f64 = alpha
-            .iter()
-            .zip(problem.labels())
-            .map(|(&al, &y)| (y * al) as f64)
-            .sum();
         let beta = self.induced_primal(problem, alpha);
-        let reg: f64 = beta.iter().map(|&b| (b as f64) * (b as f64)).sum();
-        sum_a / problem.n() as f64 - problem.lambda() / 2.0 * reg
+        sdca_dual_value(problem, alpha, &beta, svm_phi)
     }
 
     fn induced_primal(&self, problem: &RidgeProblem, alpha: &[f32]) -> Vec<f32> {
@@ -408,8 +431,7 @@ impl Objective for SvmObjective {
     }
 
     fn duality_gap(&self, problem: &RidgeProblem, _form: Form, weights: &[f32]) -> f64 {
-        let beta = self.induced_primal(problem, weights);
-        (self.primal_value(problem, &beta) - self.dual_value(problem, weights)).max(0.0)
+        sdca_duality_gap(self, problem, weights, svm_phi)
     }
 }
 
@@ -455,12 +477,7 @@ impl Objective for ElasticNetObjective {
     }
 
     fn primal_value(&self, problem: &RidgeProblem, beta: &[f32]) -> f64 {
-        let w = problem.csc().matvec(beta).expect("beta length must be M");
-        let fit = dense::squared_distance(&w, problem.labels());
-        let l1: f64 = beta.iter().map(|&b| (b as f64).abs()).sum();
-        let l2 = dense::squared_norm(beta);
-        let rho = self.l1_ratio;
-        fit / (2.0 * problem.n() as f64) + problem.lambda() * (rho * l1 + (1.0 - rho) / 2.0 * l2)
+        self.primal_value_given_shared(problem, beta, &problem.primal_shared(beta))
     }
 
     fn dual_value(&self, _problem: &RidgeProblem, _alpha: &[f32]) -> f64 {
@@ -477,14 +494,14 @@ impl Objective for ElasticNetObjective {
         let n = problem.n() as f64;
         let l1 = problem.lambda() * self.l1_ratio;
         let l2 = problem.lambda() * (1.0 - self.l1_ratio);
-        let w = problem.csc().matvec(weights).expect("beta length must be M");
+        let w = problem.primal_shared(weights);
         let theta: Vec<f32> = problem
             .labels()
             .iter()
             .zip(&w)
             .map(|(&y, &wi)| ((y as f64 - wi as f64) / n) as f32)
             .collect();
-        let corr = problem.csr().matvec_t(&theta).expect("theta length is N");
+        let corr = problem.dual_shared(&theta);
         let dot_y = dense::dot(&theta, problem.labels());
         let sq = dense::squared_norm(&theta);
         let dual = if l2 > 0.0 {
@@ -504,7 +521,18 @@ impl Objective for ElasticNetObjective {
             let s = if inf_norm > l1 { l1 / inf_norm } else { 1.0 };
             s * dot_y - s * s * n / 2.0 * sq
         };
-        (self.primal_value(problem, weights) - dual).max(0.0)
+        (self.primal_value_given_shared(problem, weights, &w) - dual).max(0.0)
+    }
+}
+
+impl ElasticNetObjective {
+    /// F(β) when the shared vector w = Aβ is already available.
+    fn primal_value_given_shared(&self, problem: &RidgeProblem, beta: &[f32], w: &[f32]) -> f64 {
+        let fit = dense::squared_distance(w, problem.labels());
+        let l1: f64 = beta.iter().map(|&b| (b as f64).abs()).sum();
+        let l2 = dense::squared_norm(beta);
+        let rho = self.l1_ratio;
+        fit / (2.0 * problem.n() as f64) + problem.lambda() * (rho * l1 + (1.0 - rho) / 2.0 * l2)
     }
 }
 

@@ -9,6 +9,7 @@
 //! and P(β*) = D(α*). The duality gap GP/GD of §II-C is the convergence
 //! metric every figure in the paper plots.
 
+use crate::products;
 use scd_sparse::dense;
 use scd_sparse::io::LabelledData;
 use scd_sparse::{CscMatrix, CsrMatrix};
@@ -94,9 +95,10 @@ impl RidgeProblem {
         if lambda.partial_cmp(&0.0) != Some(std::cmp::Ordering::Greater) {
             return Err(ProblemError::NonPositiveLambda(lambda));
         }
-        let csc = csr.to_csc();
-        let col_sq_norms = csc.col_squared_norms();
-        let row_sq_norms = csr.row_squared_norms();
+        let sched = scd_sched::global();
+        let csc = products::to_csc(&sched, &csr);
+        let col_sq_norms = products::squared_norms(&sched, csc.offsets(), |m| csc.col(m));
+        let row_sq_norms = products::squared_norms(&sched, csr.offsets(), |n| csr.row(n));
         Ok(RidgeProblem {
             regularization_examples: csr.rows(),
             csr,
@@ -197,10 +199,27 @@ impl RidgeProblem {
         }
     }
 
+    /// The primal shared vector w = Aβ, computed on the shared host pool.
+    /// Bit-identical to `self.csc().matvec(beta)` at any pool width.
+    ///
+    /// # Panics
+    /// Panics if `beta.len() != M`.
+    pub fn primal_shared(&self, beta: &[f32]) -> Vec<f32> {
+        products::matvec(&scd_sched::global(), &self.csr, beta)
+    }
+
+    /// The dual shared vector w̄ = Aᵀα, computed on the shared host pool.
+    /// Bit-identical to `self.csr().matvec_t(alpha)` at any pool width.
+    ///
+    /// # Panics
+    /// Panics if `alpha.len() != N`.
+    pub fn dual_shared(&self, alpha: &[f32]) -> Vec<f32> {
+        products::matvec_t(&scd_sched::global(), &self.csc, alpha)
+    }
+
     /// The primal objective P(β), computing w = Aβ from scratch.
     pub fn primal_objective(&self, beta: &[f32]) -> f64 {
-        let w = self.csc.matvec(beta).expect("beta length must be M");
-        self.primal_objective_given_shared(beta, &w)
+        self.primal_objective_given_shared(beta, &self.primal_shared(beta))
     }
 
     /// P(β) when the shared vector w = Aβ is already available.
@@ -212,8 +231,7 @@ impl RidgeProblem {
 
     /// The dual objective D(α), computing w̄ = Aᵀα from scratch.
     pub fn dual_objective(&self, alpha: &[f32]) -> f64 {
-        let w_bar = self.csr.matvec_t(alpha).expect("alpha length must be N");
-        self.dual_objective_given_shared(alpha, &w_bar)
+        self.dual_objective_given_shared(alpha, &self.dual_shared(alpha))
     }
 
     /// D(α) when the shared vector w̄ = Aᵀα is already available.
@@ -225,33 +243,49 @@ impl RidgeProblem {
 
     /// The dual point induced by a primal iterate (Eq. 6): α = (y − Aβ)/N.
     pub fn induced_dual(&self, beta: &[f32]) -> Vec<f32> {
-        let w = self.csc.matvec(beta).expect("beta length must be M");
+        self.induced_dual_given_shared(&self.primal_shared(beta))
+    }
+
+    /// α = (y − w)/N for w = Aβ.
+    fn induced_dual_given_shared(&self, w: &[f32]) -> Vec<f32> {
         let n = self.n() as f32;
         self.y
             .iter()
-            .zip(&w)
+            .zip(w)
             .map(|(&yi, &wi)| (yi - wi) / n)
             .collect()
     }
 
     /// The primal point induced by a dual iterate (Eq. 5): β = Aᵀα/λ.
     pub fn induced_primal(&self, alpha: &[f32]) -> Vec<f32> {
-        let mut w_bar = self.csr.matvec_t(alpha).expect("alpha length must be N");
+        let mut w_bar = self.dual_shared(alpha);
         dense::scale((1.0 / self.lambda) as f32, &mut w_bar);
         w_bar
     }
 
     /// GP(β) = |P(β) − D((y − Aβ)/N)| — the primal algorithms' convergence
-    /// metric.
+    /// metric. One pass per product: w = Aβ feeds both P(β) and α, and
+    /// w̄ = Aᵀα feeds D(α).
     pub fn primal_duality_gap(&self, beta: &[f32]) -> f64 {
-        let alpha = self.induced_dual(beta);
-        (self.primal_objective(beta) - self.dual_objective(&alpha)).abs()
+        let w = self.primal_shared(beta);
+        let alpha = self.induced_dual_given_shared(&w);
+        let w_bar = self.dual_shared(&alpha);
+        (self.primal_objective_given_shared(beta, &w)
+            - self.dual_objective_given_shared(&alpha, &w_bar))
+        .abs()
     }
 
     /// GD(α) = |P(Aᵀα/λ) − D(α)| — the dual algorithms' convergence metric.
+    /// One pass per product: the unscaled w̄ = Aᵀα feeds D(α), a scaled copy
+    /// is β, and w = Aβ feeds P(β).
     pub fn dual_duality_gap(&self, alpha: &[f32]) -> f64 {
-        let beta = self.induced_primal(alpha);
-        (self.primal_objective(&beta) - self.dual_objective(alpha)).abs()
+        let w_bar = self.dual_shared(alpha);
+        let mut beta = w_bar.clone();
+        dense::scale((1.0 / self.lambda) as f32, &mut beta);
+        let w = self.primal_shared(&beta);
+        (self.primal_objective_given_shared(&beta, &w)
+            - self.dual_objective_given_shared(alpha, &w_bar))
+        .abs()
     }
 
     /// Duality gap for weights of either form.

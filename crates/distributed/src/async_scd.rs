@@ -45,11 +45,10 @@
 //! `master_version(apply) − master_version(pull)` and the per-epoch
 //! histogram lands in [`RoundMetrics::staleness_hist`].
 
-use crate::driver::{build_workers, choose_gamma, Aggregation, DistributedConfig};
+use crate::driver::{build_workers, choose_gamma, Aggregation, BuildError, DistributedConfig};
 use crate::fault::{FaultPlan, RoundFate};
 use crate::metrics::RoundMetrics;
 use crate::worker::{Worker, WorkerRound};
-use gpu_sim::GpuError;
 use scd_core::{
     EpochStats, Form, ObjectiveKind, RidgeProblem, Solver, TimeBreakdown, WorkerScalars,
 };
@@ -207,11 +206,9 @@ impl AsyncScd {
         full: &RidgeProblem,
         config: &DistributedConfig,
         staleness: Staleness,
-    ) -> Result<Self, GpuError> {
+    ) -> Result<Self, BuildError> {
         assert!(config.workers >= 1, "need at least one worker");
-        let workers = build_workers(full, config, &crate::source::PartitionSource::Memory)
-            .map_err(crate::driver::BuildError::expect_gpu)?
-            .workers;
+        let workers = build_workers(full, config, &crate::source::PartitionSource::Memory)?.workers;
         let k = workers.len();
         Ok(AsyncScd {
             form: config.form,

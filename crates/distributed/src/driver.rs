@@ -328,6 +328,16 @@ pub enum BuildError {
     Store(StoreError),
     /// The requested configuration is invalid for the data source.
     Config(String),
+    /// More workers than coordinates to partition: some worker would get
+    /// an empty partition.
+    TooManyWorkers {
+        /// The requested worker count K.
+        workers: usize,
+        /// Coordinates of the partitioned form (N for dual, M for primal).
+        coords: usize,
+        /// The form whose coordinates are partitioned.
+        form: Form,
+    },
 }
 
 impl std::fmt::Display for BuildError {
@@ -336,22 +346,27 @@ impl std::fmt::Display for BuildError {
             BuildError::Gpu(e) => write!(f, "{e}"),
             BuildError::Store(e) => write!(f, "{e}"),
             BuildError::Config(msg) => write!(f, "{msg}"),
+            BuildError::TooManyWorkers {
+                workers,
+                coords,
+                form,
+            } => {
+                let unit = match form {
+                    Form::Primal => "features",
+                    Form::Dual => "examples",
+                };
+                write!(
+                    f,
+                    "cannot spread {coords} {unit} over {workers} workers (the {} form \
+                     partitions {unit})",
+                    form.label()
+                )
+            }
         }
     }
 }
 
 impl std::error::Error for BuildError {}
-
-impl BuildError {
-    /// Unwrap the GPU error of a memory-sourced build (the only kind a
-    /// memory source can raise).
-    pub(crate) fn expect_gpu(self) -> GpuError {
-        match self {
-            BuildError::Gpu(e) => e,
-            other => unreachable!("memory source raised a non-GPU error: {other}"),
-        }
-    }
-}
 
 /// The K constructed workers plus what distributing their partitions cost.
 pub(crate) struct BuiltWorkers {
@@ -372,6 +387,14 @@ pub(crate) fn build_workers(
     // problem, before any partition is cut (partitions inherit labels).
     if let Err(err) = config.objective.validate(full, config.form) {
         panic!("{err}");
+    }
+    let coords = full.coords(config.form);
+    if config.workers > coords {
+        return Err(BuildError::TooManyWorkers {
+            workers: config.workers,
+            coords,
+            form: config.form,
+        });
     }
     let partitions: Vec<(LocalPartition, u64)> = match source {
         PartitionSource::Memory => partition_problem(
@@ -723,9 +746,8 @@ pub struct DistributedScd {
 
 impl DistributedScd {
     /// Partition the in-memory problem and stand up the cluster.
-    pub fn new(full: &RidgeProblem, config: &DistributedConfig) -> Result<Self, GpuError> {
+    pub fn new(full: &RidgeProblem, config: &DistributedConfig) -> Result<Self, BuildError> {
         Self::from_source(full, config, &PartitionSource::Memory)
-            .map_err(BuildError::expect_gpu)
     }
 
     /// Stand up the cluster with each worker's partition loaded from an

@@ -139,10 +139,15 @@ impl GroupCore {
                 let f = unsafe { &**f };
                 catch_unwind(AssertUnwindSafe(|| f(index)))
             }
-            Body::Queued(q) => match q.lock().unwrap()[index].take() {
-                Some(task) => catch_unwind(AssertUnwindSafe(task)),
-                None => Ok(()),
-            },
+            Body::Queued(q) => {
+                // Take the task out before running it: a guard held across
+                // the call would serialize every task of the scope.
+                let task = q.lock().unwrap()[index].take();
+                match task {
+                    Some(task) => catch_unwind(AssertUnwindSafe(task)),
+                    None => Ok(()),
+                }
+            }
         };
         if outcome.is_err() {
             self.panicked.store(true, SeqCst);

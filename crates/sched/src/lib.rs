@@ -755,6 +755,30 @@ mod tests {
     }
 
     #[test]
+    fn scoped_tasks_run_concurrently() {
+        // Each task waits for the other to start: a scope that ran its
+        // tasks one at a time would time out here instead.
+        let sched = Scheduler::new(2);
+        let started = AtomicUsize::new(0);
+        let met = AtomicUsize::new(0);
+        sched.scope(|s| {
+            for _ in 0..2 {
+                s.spawn(|| {
+                    started.fetch_add(1, SeqCst);
+                    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
+                    while started.load(SeqCst) < 2 && std::time::Instant::now() < deadline {
+                        std::thread::yield_now();
+                    }
+                    if started.load(SeqCst) == 2 {
+                        met.fetch_add(1, SeqCst);
+                    }
+                });
+            }
+        });
+        assert_eq!(met.load(SeqCst), 2, "scoped tasks never overlapped");
+    }
+
+    #[test]
     fn scope_panic_in_task_propagates_after_join() {
         let sched = Scheduler::new(2);
         let done = AtomicUsize::new(0);

@@ -5,6 +5,7 @@
 
 use crate::csr::validate_compressed;
 use crate::{CsrMatrix, SparseError, SparseVecView};
+use std::ops::Range;
 
 /// An immutable sparse matrix in compressed sparse column format.
 #[derive(Debug, Clone, PartialEq)]
@@ -174,6 +175,32 @@ impl CscMatrix {
             *slot = col.dot_dense(y) as f32;
         }
         Ok(())
+    }
+
+    /// Columns `cols` of `Aᵀ y` with the arithmetic of
+    /// [`CsrMatrix::matvec_t`], written to `out` (length `cols.len()`).
+    ///
+    /// `CsrMatrix::matvec_t` scatters: for each row n in increasing order it
+    /// adds `y[n] · a_nm` into `out[m]` in `f32`, with no zero skip. Column
+    /// m of this matrix lists the same entries in the same increasing n, so
+    /// accumulating them from `0.0` in `f32` performs the identical sequence
+    /// of additions: bit-identical to the matching slots of
+    /// `self.to_csr().matvec_t(y)`, and independent per column.
+    ///
+    /// # Panics
+    /// Panics if `y.len() != rows`, `out.len() != cols.len()`, or the range
+    /// is out of bounds.
+    pub fn gather_matvec_t_into(&self, y: &[f32], cols: Range<usize>, out: &mut [f32]) {
+        assert_eq!(y.len(), self.rows, "y length must equal the row count");
+        assert_eq!(out.len(), cols.len(), "out length must equal the column range");
+        for (m, slot) in cols.zip(out.iter_mut()) {
+            let col = self.col(m);
+            let mut acc = 0.0f32;
+            for (&n, &v) in col.indices.iter().zip(col.values) {
+                acc += y[n as usize] * v;
+            }
+            *slot = acc;
+        }
     }
 
     /// Extract the submatrix formed by the given columns, in the given order.

@@ -4,6 +4,7 @@
 //! so the paper stores the matrix in CSR when solving the dual formulation.
 
 use crate::{CscMatrix, SparseError, SparseVecView};
+use std::ops::Range;
 
 /// An immutable sparse matrix in compressed sparse row format.
 #[derive(Debug, Clone, PartialEq)]
@@ -201,31 +202,96 @@ impl CsrMatrix {
         CsrMatrix::from_raw_unchecked(rows.len(), self.cols, offsets, indices, values)
     }
 
-    /// Convert to compressed sparse column format.
-    pub fn to_csc(&self) -> CscMatrix {
-        // Counting sort by column: O(nnz + cols).
-        let mut counts = vec![0usize; self.cols + 1];
+    /// Rows `rows` of `A x` with the arithmetic of [`CscMatrix::matvec`],
+    /// written to `out` (length `rows.len()`).
+    ///
+    /// `CscMatrix::matvec` scatters: for each column m in increasing order
+    /// with `x[m] != 0`, it adds `x[m] · a_im` into `out[i]` in `f32`. Row i
+    /// of this matrix lists the same entries in the same increasing m, so
+    /// accumulating them here from `0.0` in `f32`, skipping the same zero
+    /// `x[m]`, performs the identical sequence of additions: the output is
+    /// bit-identical to the matching slots of `self.to_csc().matvec(x)`.
+    /// Each output depends only on its own row, so disjoint row ranges may
+    /// be computed concurrently.
+    ///
+    /// # Panics
+    /// Panics if `x.len() != cols`, `out.len() != rows.len()`, or the range
+    /// is out of bounds.
+    pub fn gather_matvec_into(&self, x: &[f32], rows: Range<usize>, out: &mut [f32]) {
+        assert_eq!(x.len(), self.cols, "x length must equal the column count");
+        assert_eq!(out.len(), rows.len(), "out length must equal the row range");
+        for (n, slot) in rows.zip(out.iter_mut()) {
+            let row = self.row(n);
+            let mut acc = 0.0f32;
+            for (&m, &v) in row.indices.iter().zip(row.values) {
+                let xm = x[m as usize];
+                if xm != 0.0 {
+                    acc += xm * v;
+                }
+            }
+            *slot = acc;
+        }
+    }
+
+    /// The column offsets of [`Self::to_csc`]: a counting pass over the
+    /// column indices, O(nnz + cols).
+    pub fn transpose_offsets(&self) -> Vec<usize> {
+        let mut offsets = vec![0usize; self.cols + 1];
         for &c in &self.indices {
-            counts[c as usize + 1] += 1;
+            offsets[c as usize + 1] += 1;
         }
         for c in 0..self.cols {
-            counts[c + 1] += counts[c];
+            offsets[c + 1] += offsets[c];
         }
-        let offsets = counts.clone();
-        let mut indices = vec![0u32; self.nnz()];
-        let mut values = vec![0.0f32; self.nnz()];
-        let mut cursor = counts;
+        offsets
+    }
+
+    /// Columns `cols` of [`Self::to_csc`]: fills the CSC row indices and
+    /// values of exactly those columns, i.e. the slots
+    /// `offsets[cols.start]..offsets[cols.end]` of the CSC arrays, where
+    /// `offsets` is [`Self::transpose_offsets`].
+    ///
+    /// Rows are walked in increasing order and each row's entries in the
+    /// column range are found by binary search (rows are sorted), so every
+    /// column receives its row indices in increasing order and only this
+    /// range's output is written: disjoint column ranges may be filled
+    /// concurrently. Extra work is two searches per row and one cursor per
+    /// column of the range.
+    ///
+    /// # Panics
+    /// Panics if the output slices do not have the range's entry count.
+    pub fn transpose_cols_into(
+        &self,
+        cols: Range<usize>,
+        offsets: &[usize],
+        indices: &mut [u32],
+        values: &mut [f32],
+    ) {
+        let base = offsets[cols.start];
+        assert_eq!(indices.len(), offsets[cols.end] - base, "indices slice length");
+        assert_eq!(values.len(), indices.len(), "values slice length");
+        let mut cursor: Vec<usize> = offsets[cols.clone()].iter().map(|&o| o - base).collect();
+        let (lo_col, hi_col) = (cols.start as u32, cols.end as u32);
         for r in 0..self.rows {
-            let lo = self.offsets[r];
-            let hi = self.offsets[r + 1];
-            for k in lo..hi {
-                let c = self.indices[k] as usize;
-                let dst = cursor[c];
-                indices[dst] = r as u32;
-                values[dst] = self.values[k];
-                cursor[c] += 1;
+            let row = self.row(r);
+            let lo = row.indices.partition_point(|&c| c < lo_col);
+            let hi = lo + row.indices[lo..].partition_point(|&c| c < hi_col);
+            for (&c, &v) in row.indices[lo..hi].iter().zip(&row.values[lo..hi]) {
+                let slot = &mut cursor[(c - lo_col) as usize];
+                indices[*slot] = r as u32;
+                values[*slot] = v;
+                *slot += 1;
             }
         }
+    }
+
+    /// Convert to compressed sparse column format (a counting sort by
+    /// column, O(nnz + rows + cols)).
+    pub fn to_csc(&self) -> CscMatrix {
+        let offsets = self.transpose_offsets();
+        let mut indices = vec![0u32; self.nnz()];
+        let mut values = vec![0.0f32; self.nnz()];
+        self.transpose_cols_into(0..self.cols, &offsets, &mut indices, &mut values);
         CscMatrix::from_raw_unchecked(self.rows, self.cols, offsets, indices, values)
     }
 

@@ -24,6 +24,7 @@ pub mod ell;
 pub mod io;
 pub mod kernels;
 pub mod perm;
+pub mod split;
 pub mod structure;
 
 pub use coo::CooMatrix;
@@ -31,6 +32,7 @@ pub use densemat::DenseMatrix;
 pub use csc::CscMatrix;
 pub use csr::CsrMatrix;
 pub use ell::EllMatrix;
+pub use split::balanced_ranges;
 pub use structure::{NnzDistribution, StructureProfile};
 
 /// Errors produced while building or manipulating sparse matrices.

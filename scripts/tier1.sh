@@ -43,6 +43,33 @@ if [[ "$gap_store" != "$gap_mem" ]]; then
 fi
 rm -rf "$(dirname "$SHARD_DIR")" "$SHARD_SVM"
 
+echo "==> host-threads bit-identity smoke"
+# The gap products and the CSR->CSC transpose are split across the
+# --host-threads pool; every printed number must be the same at any width.
+# The syscd run reads a shard directory; the K=2 primal run reads the
+# LIBSVM twin, because store-backed training partitions by example only.
+HT_DIR=$(mktemp -d)
+./target/release/scd shard gen --out "$HT_DIR/shards" --kind webspam --rows 300 \
+  --cols 200 --nnz-per-row 12 --seed 3 --chunk-rows 64 > /dev/null
+./target/release/scd generate --kind webspam --rows 300 --cols 200 \
+  --nnz-per-row 12 --seed 3 --output "$HT_DIR/data.svm" > /dev/null
+for h in 1 3; do
+  ./target/release/scd train --data "$HT_DIR/shards" --form dual --backend syscd \
+    --threads 2 --host-threads "$h" --epochs 3 --eval-every 1 \
+    | grep '^final gap' > "$HT_DIR/syscd.$h"
+  ./target/release/scd train --data "$HT_DIR/data.svm" --features 200 --form primal \
+    --workers 2 --host-threads "$h" --epochs 3 --eval-every 1 \
+    | grep '^final gap' > "$HT_DIR/primal.$h"
+done
+for run in syscd primal; do
+  if ! cmp -s "$HT_DIR/$run.1" "$HT_DIR/$run.3"; then
+    echo "tier1.sh: $run final gap differs between --host-threads 1 and 3:" >&2
+    cat "$HT_DIR/$run.1" "$HT_DIR/$run.3" >&2
+    exit 1
+  fi
+done
+rm -rf "$HT_DIR"
+
 echo "==> bench_store --smoke"
 BENCH_OUT=$(mktemp) ./target/release/bench_store --smoke
 
