@@ -19,8 +19,7 @@ pub mod single_node;
 pub use harness::{run_convergence, ConvergenceRun};
 
 /// With `alloc-count` on, every binary and test in this crate runs under
-/// the counting allocator — installed here once so `bench_alloc` and the
-/// steady-state allocation tests cannot disagree about instrumentation.
+/// the counting allocator, installed here once for all of them.
 #[cfg(feature = "alloc-count")]
 #[global_allocator]
 static COUNTING_ALLOCATOR: alloc_track::CountingAlloc = alloc_track::CountingAlloc;

@@ -1,14 +1,14 @@
 //! Tiny command-line helpers shared by the study binaries.
 //!
-//! The fig/study binaries take no positional arguments; the few knobs they
-//! expose ride on `--flag value` (or `--flag=value`) pairs scanned straight
+//! The fig/study binaries take no positional arguments; the one knob they
+//! share rides on a `--wire value` (or `--wire=value`) pair scanned straight
 //! from `std::env::args`, keeping the binaries free of an argument-parsing
 //! dependency.
 
 use scd_distributed::WireFormat;
 
 /// The value of `--<name> <value>` (or `--<name>=<value>`) if present.
-pub fn flag_value(name: &str) -> Option<String> {
+fn flag_value(name: &str) -> Option<String> {
     let long = format!("--{name}");
     let prefixed = format!("--{name}=");
     let mut args = std::env::args().skip(1);
@@ -21,12 +21,6 @@ pub fn flag_value(name: &str) -> Option<String> {
         }
     }
     None
-}
-
-/// Whether the bare flag `--<name>` appears in argv (no value expected).
-pub fn flag_present(name: &str) -> bool {
-    let long = format!("--{name}");
-    std::env::args().skip(1).any(|arg| arg == long)
 }
 
 /// The `--wire {raw,fp16,topk:<k>,topk-ef:<k>}` selection, defaulting to
@@ -51,6 +45,5 @@ mod tests {
         // The test harness's argv has no --wire flag.
         assert_eq!(wire_flag(), WireFormat::Raw);
         assert_eq!(flag_value("wire"), None);
-        assert!(!flag_present("smoke"));
     }
 }

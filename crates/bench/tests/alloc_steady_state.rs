@@ -16,6 +16,8 @@ use scd_datasets::{scale_values, webspam_like};
 use scd_distributed::{DistributedConfig, DistributedScd, WireFormat};
 use scd_sched::Scheduler;
 use scd_serve::{batch_from_pairs, BatchScorer, Scored};
+use std::sync::atomic::{AtomicUsize, Ordering::SeqCst};
+use std::time::Duration;
 
 const WARMUP: usize = 3;
 const MEASURED: usize = 3;
@@ -66,13 +68,42 @@ fn sequential_epochs_are_allocation_free() {
 #[test]
 fn syscd_epochs_are_allocation_free_across_thread_counts() {
     let problem = problem();
-    for h in [1usize, 4] {
+    for h in [1usize, 4, 8] {
         let sched = Scheduler::new(h);
         let mut solver = SyscdScd::new(&problem, Form::Dual, h, 1).with_scheduler(sched);
         assert_steady_state(&format!("syscd-h{h}"), 0, || {
             solver.epoch(&problem);
         });
     }
+}
+
+/// Run a `width`-wide `parallel_for` whose tasks wait for each other, so
+/// exactly `width` threads each run one task.
+fn rendezvous(sched: &Scheduler, width: usize) {
+    let arrived = AtomicUsize::new(0);
+    sched.parallel_for(width, &|_| {
+        arrived.fetch_add(1, SeqCst);
+        while arrived.load(SeqCst) < width {
+            std::thread::yield_now();
+        }
+    });
+}
+
+/// With more threads than cores, a pool worker may run its first task
+/// epochs after warm-up; that first task must not allocate either.
+#[test]
+fn a_workers_first_task_is_allocation_free() {
+    let sched = Scheduler::new(3);
+    // Two wide: one token, so the caller and exactly one of the two
+    // workers run a task, and the group goes back to the pool.
+    rendezvous(&sched, 2);
+    // Let that worker drop its group reference.
+    std::thread::sleep(Duration::from_millis(50));
+    let before = alloc_track::snapshot();
+    // Three wide: the worker that has never run a task must run one now.
+    rendezvous(&sched, 3);
+    let (allocs, bytes) = alloc_track::delta(before);
+    assert_eq!(allocs, 0, "a worker's first task allocated {bytes} bytes");
 }
 
 #[test]

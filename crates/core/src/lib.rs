@@ -25,8 +25,6 @@
 //! * [`aggregation`] — optimal γ* for distributed aggregation (§IV-B).
 //! * [`recorder`] — duality-gap/time curves and time-to-ε queries.
 //! * [`exact`] — closed-form reference solutions for verification.
-//! * [`minibatch`] — mini-batch SDCA [19], the batch-parallel middle
-//!   ground.
 //! * [`model`] — trained-model persistence and inference.
 //! * [`path`] — warm-started regularization paths over a λ grid [4].
 
@@ -35,7 +33,6 @@ pub mod async_cpu;
 pub mod asyscd;
 pub mod async_sim;
 pub mod exact;
-pub mod minibatch;
 pub mod model;
 pub mod objective;
 pub mod path;
@@ -53,7 +50,6 @@ pub use async_cpu::AsyncCpuScd;
 pub use asyscd::{AsyScd, AsyScdError};
 pub use async_sim::AsyncSimScd;
 pub use exact::{exact_dual, exact_primal};
-pub use minibatch::MiniBatchSdca;
 pub use model::{ModelError, TrainedModel};
 pub use objective::{
     ElasticNetObjective, LogisticObjective, Objective, ObjectiveError, ObjectiveKind,

@@ -245,8 +245,8 @@ mod tests {
         assert_eq!(d.labels.len(), 100);
         assert!(d.labels.iter().all(|&y| y == 1.0 || y == -1.0));
         // Both classes present.
-        assert!(d.labels.iter().any(|&y| y == 1.0));
-        assert!(d.labels.iter().any(|&y| y == -1.0));
+        assert!(d.labels.contains(&1.0));
+        assert!(d.labels.contains(&-1.0));
         // Mean nnz per row near requested (dedup trims a little).
         let per_row = d.matrix.nnz() as f64 / 100.0;
         assert!((6.0..16.0).contains(&per_row), "got {per_row}");
@@ -321,8 +321,8 @@ mod tests {
         let d = dense_random(40, 8, 13);
         assert_eq!(d.matrix.nnz(), 320);
         assert!(d.labels.iter().all(|&y| y == 1.0 || y == -1.0));
-        assert!(d.labels.iter().any(|&y| y == 1.0));
-        assert!(d.labels.iter().any(|&y| y == -1.0));
+        assert!(d.labels.contains(&1.0));
+        assert!(d.labels.contains(&-1.0));
         let e = dense_random(40, 8, 13);
         assert_eq!(d.labels, e.labels);
         assert_eq!(d.matrix.to_dense(), e.matrix.to_dense());

@@ -385,9 +385,10 @@ pub(crate) fn build_workers(
 ) -> Result<BuiltWorkers, BuildError> {
     // Objective × form × labels validity is checked once, on the full
     // problem, before any partition is cut (partitions inherit labels).
-    if let Err(err) = config.objective.validate(full, config.form) {
-        panic!("{err}");
-    }
+    config
+        .objective
+        .validate(full, config.form)
+        .map_err(|err| BuildError::Config(err.to_string()))?;
     let coords = full.coords(config.form);
     if config.workers > coords {
         return Err(BuildError::TooManyWorkers {
@@ -773,14 +774,11 @@ impl DistributedScd {
         let BuiltWorkers { workers, setup } = build_workers(full, config, source)?;
         // A one-thread pool would run the same inline loop with extra
         // hand-offs; only stand the pool up when it can overlap rounds.
-        let pool = config
-            .runtime
-            .pool_threads(config.workers)
-            .filter(|&t| t > 1)
-            .map(|t| match &config.sched {
-                Some(sched) => RoundPool::on(Arc::clone(sched), t),
-                None => RoundPool::new(t),
-            });
+        let threads = config.runtime.pool_threads(config.workers);
+        let pool = (threads > 1).then(|| match &config.sched {
+            Some(sched) => RoundPool::on(Arc::clone(sched), threads),
+            None => RoundPool::new(threads),
+        });
         Ok(DistributedScd {
             form: config.form,
             objective: config.objective,

@@ -1,24 +1,20 @@
 //! The round runtime: worker rounds of one synchronous epoch as a task
 //! group on the shared host scheduler.
 //!
-//! The original driver ran the K workers one after another on the calling
-//! thread; PR 2 moved them onto a dedicated pool of host threads owned by
-//! each [`crate::DistributedScd`]. That pool was one of three independent
-//! thread mechanisms in the workspace (gpu-sim's executor and the
-//! crossbeam scopes in the CPU baselines being the others), so a
-//! K-worker run whose local solver is TPA-SCD oversubscribed the host K×.
-//! [`RoundPool`] is now a thin facade over the work-stealing scheduler
+//! [`RoundPool`] is a thin facade over the work-stealing scheduler
 //! (`scd-sched`): an epoch submits "run the round of each pending worker"
 //! as one task group capped at the configured width, and the worker
 //! rounds — plus any kernel grids they launch — schedule cooperatively on
-//! one process-wide set of host threads. Nested TPA-SCD launches inside a
-//! round are safe by the scheduler's nesting rule (the submitting thread
-//! drains its own group inline before blocking).
+//! one process-wide set of host threads, so a K-worker run whose local
+//! solver is TPA-SCD does not oversubscribe the host K×. Nested TPA-SCD
+//! launches inside a round are safe by the scheduler's nesting rule (the
+//! submitting thread drains its own group inline before blocking). At a
+//! width of 1 the driver stands no pool up and runs the rounds inline.
 //!
 //! Determinism: each task index is claimed by exactly one thread, every
 //! worker is touched by at most one thread per epoch, and the *master*
 //! reduces results in worker-id order afterwards — so the aggregated
-//! state is bit-identical to the sequential loop regardless of thread
+//! state is bit-identical to the width-1 loop regardless of thread
 //! count or scheduling.
 
 use scd_sched::Scheduler;
@@ -27,11 +23,10 @@ use std::sync::Arc;
 /// How the driver executes the K worker rounds of one epoch.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RoundRuntime {
-    /// One worker after another on the calling thread — the pre-pool
-    /// reference loop, kept for equivalence testing and 1-core hosts.
-    Sequential,
     /// Rounds run as task groups on the shared host scheduler.
-    /// `threads == 0` auto-sizes to `min(K, available_parallelism)`.
+    /// `threads == 0` auto-sizes to `min(K, available_parallelism)`;
+    /// `threads == 1` runs one worker after another on the calling
+    /// thread, the reference loop every width is bit-identical to.
     Concurrent {
         /// Parallelism cap; 0 = auto.
         threads: usize,
@@ -46,18 +41,15 @@ impl Default for RoundRuntime {
 
 impl RoundRuntime {
     /// Resolve the round-parallelism cap for a cluster of `workers`
-    /// nodes; `None` means "no pool, run inline".
-    pub(crate) fn pool_threads(self, workers: usize) -> Option<usize> {
-        match self {
-            RoundRuntime::Sequential => None,
-            RoundRuntime::Concurrent { threads: 0 } => {
-                let host = std::thread::available_parallelism()
-                    .map(|n| n.get())
-                    .unwrap_or(1);
-                Some(host.min(workers).max(1))
-            }
-            RoundRuntime::Concurrent { threads } => Some(threads.min(workers).max(1)),
-        }
+    /// nodes; 1 means "no pool, run inline".
+    pub(crate) fn pool_threads(self, workers: usize) -> usize {
+        let RoundRuntime::Concurrent { threads } = self;
+        let threads = if threads == 0 {
+            std::thread::available_parallelism().map_or(1, |n| n.get())
+        } else {
+            threads
+        };
+        threads.min(workers).max(1)
     }
 }
 
@@ -167,20 +159,12 @@ mod tests {
 
     #[test]
     fn runtime_resolves_pool_width() {
-        assert_eq!(RoundRuntime::Sequential.pool_threads(8), None);
-        assert_eq!(
-            RoundRuntime::Concurrent { threads: 3 }.pool_threads(8),
-            Some(3)
-        );
+        assert_eq!(RoundRuntime::Concurrent { threads: 1 }.pool_threads(8), 1);
+        assert_eq!(RoundRuntime::Concurrent { threads: 3 }.pool_threads(8), 3);
         // Wider than the cluster is clamped to K.
-        assert_eq!(
-            RoundRuntime::Concurrent { threads: 16 }.pool_threads(4),
-            Some(4)
-        );
-        let auto = RoundRuntime::Concurrent { threads: 0 }
-            .pool_threads(8)
-            .unwrap();
-        assert!(auto >= 1 && auto <= 8);
+        assert_eq!(RoundRuntime::Concurrent { threads: 16 }.pool_threads(4), 4);
+        let auto = RoundRuntime::Concurrent { threads: 0 }.pool_threads(8);
+        assert!((1..=8).contains(&auto));
         assert_eq!(RoundRuntime::default(), RoundRuntime::Concurrent { threads: 0 });
     }
 }

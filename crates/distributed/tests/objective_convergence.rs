@@ -7,12 +7,13 @@
 //! * τ=0 bounded-staleness rounds stay bit-identical to the synchronous
 //!   barrier for the non-ridge objectives too;
 //! * ridge through an objective-aware config replays the legacy driver
-//!   bit for bit.
+//!   bit for bit;
+//! * an objective the labels cannot train is a typed error, not a panic.
 
 use scd_core::{Form, ObjectiveKind, RidgeProblem, Solver};
 use scd_datasets::dense_random;
 use scd_distributed::{
-    Aggregation, AsyncScd, DistributedConfig, DistributedScd, Staleness, WireFormat,
+    Aggregation, AsyncScd, BuildError, DistributedConfig, DistributedScd, Staleness, WireFormat,
 };
 
 /// Well-conditioned two-class problem: λ large enough that every
@@ -120,5 +121,26 @@ fn ridge_objective_config_replays_the_legacy_driver() {
         }
         assert_eq!(a.weights(), b.weights(), "{form:?}");
         assert_eq!(a.shared_vector(), b.shared_vector(), "{form:?}");
+    }
+}
+
+#[test]
+fn svm_on_real_valued_labels_is_a_one_line_config_error() {
+    let mut data = dense_random(200, 40, 7);
+    data.labels[0] = 0.5;
+    let full = RidgeProblem::from_labelled(&data, 5e-2).unwrap();
+    let config = config_for(ObjectiveKind::Svm);
+    let errors = [
+        DistributedScd::new(&full, &config).err(),
+        AsyncScd::new(&full, &config, Staleness::Bounded(1)).err(),
+    ];
+    for err in errors {
+        match err {
+            Some(err @ BuildError::Config(_)) => {
+                let msg = err.to_string();
+                assert!(!msg.is_empty() && !msg.contains('\n'), "{msg:?}");
+            }
+            other => panic!("expected BuildError::Config, got {other:?}"),
+        }
     }
 }

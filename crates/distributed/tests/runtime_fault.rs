@@ -31,7 +31,7 @@ fn concurrent_rounds_bit_identical_to_sequential() {
         let config = DistributedConfig::new(4, Form::Primal)
             .with_aggregation(aggregation)
             .with_seed(7);
-        let sequential_cfg = config.clone().with_runtime(RoundRuntime::Sequential);
+        let sequential_cfg = config.clone().with_runtime(RoundRuntime::Concurrent { threads: 1 });
         let concurrent_cfg = config.with_runtime(RoundRuntime::Concurrent { threads: 4 });
         let mut sequential = DistributedScd::new(&full, &sequential_cfg).unwrap();
         let mut concurrent = DistributedScd::new(&full, &concurrent_cfg).unwrap();
@@ -56,7 +56,7 @@ fn concurrent_dual_form_bit_identical_to_sequential() {
         .with_seed(19);
     let mut sequential = DistributedScd::new(
         &full,
-        &config.clone().with_runtime(RoundRuntime::Sequential),
+        &config.clone().with_runtime(RoundRuntime::Concurrent { threads: 1 }),
     )
     .unwrap();
     let mut concurrent = DistributedScd::new(
@@ -94,7 +94,7 @@ fn fault_injected_runs_are_deterministic_given_a_seed() {
     };
     let a = run(RoundRuntime::Concurrent { threads: 4 });
     let b = run(RoundRuntime::Concurrent { threads: 2 });
-    let c = run(RoundRuntime::Sequential);
+    let c = run(RoundRuntime::Concurrent { threads: 1 });
     // Same seed → same fault schedule, same trajectory, same telemetry —
     // regardless of how many host threads execute the rounds.
     assert_eq!(a, b);
@@ -269,7 +269,7 @@ fn round_observer_sees_every_round_boundary() {
     let full = full_problem();
     let config = DistributedConfig::new(3, Form::Primal).with_seed(21);
     let mut dist = DistributedScd::new(&full, &config).unwrap();
-    let log: Arc<Mutex<Vec<(u64, Vec<f32>)>>> = Arc::new(Mutex::new(Vec::new()));
+    let log = Arc::new(Mutex::new(Vec::<(u64, Vec<f32>)>::new()));
     let sink = Arc::clone(&log);
     dist.set_round_observer(Box::new(move |round, weights| {
         sink.lock().unwrap().push((round, weights.to_vec()));

@@ -90,7 +90,7 @@ fn wide_scheduler_rounds_bit_identical_to_sequential() {
             .with_seed(7);
         let mut sequential = DistributedScd::new(
             &full,
-            &base.clone().with_runtime(RoundRuntime::Sequential),
+            &base.clone().with_runtime(RoundRuntime::Concurrent { threads: 1 }),
         )
         .unwrap();
         let concurrent_cfg = base

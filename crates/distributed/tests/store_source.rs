@@ -1,6 +1,6 @@
 //! Store-backed clusters must be *bit-identical* to in-memory clusters:
 //! same shards, same seed, same partitions → same weights, same gap, to
-//! the last bit, for K=1 and the paper's K=4.
+//! the last bit, for K ∈ {1, 2} and the paper's K=4.
 
 use scd_core::{Form, RidgeProblem, Solver};
 use scd_datasets::{criteo_like, CriteoSpec};
@@ -8,7 +8,7 @@ use scd_distributed::{
     BuildError, DistributedConfig, DistributedScd, PartitionStrategy,
 };
 use scd_store::{write_criteo, ShardedDataset};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
 const ROWS: usize = 160;
 const FIELDS: usize = 5;
@@ -20,7 +20,7 @@ fn tmp(name: &str) -> PathBuf {
     std::env::temp_dir().join(format!("scd_dist_store_{name}_{}", std::process::id()))
 }
 
-fn write_shards(dir: &PathBuf) -> ShardedDataset {
+fn write_shards(dir: &Path) -> ShardedDataset {
     let spec = CriteoSpec::new(ROWS, FIELDS, CARDINALITY, SEED);
     write_criteo(dir, &spec, 48).unwrap(); // 4 chunks, last one short
     ShardedDataset::open(dir).unwrap()
@@ -63,7 +63,7 @@ fn k4_training_from_store_matches_in_memory_bit_for_bit() {
     let dir = tmp("k4");
     let store = write_shards(&dir);
     let full = in_memory_problem();
-    for workers in [1, 4] {
+    for workers in [1, 2, 4] {
         let config = contiguous_config(workers);
         let mut from_store = DistributedScd::from_store(&full, &store, &config).unwrap();
         let mut from_mem = DistributedScd::new(&full, &config).unwrap();

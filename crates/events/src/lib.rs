@@ -22,7 +22,7 @@
 //! Built on top of this: `scd-distributed`'s `AsyncScd`, the
 //! bounded-staleness asynchronous driver whose τ=0 mode reproduces the
 //! synchronous barrier bit-identically and whose τ=∞ mode is the
-//! repository's parameter server, and `scd-serve`'s load harness.
+//! repository's parameter server.
 
 pub mod engine;
 pub mod queue;

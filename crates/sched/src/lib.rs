@@ -214,6 +214,9 @@ impl Shared {
 
 fn worker_main(shared: Arc<Shared>, me: usize) {
     WORKER.with(|w| w.set(Some((shared.addr(), me))));
+    // Size the nesting stack now: on a busy host a worker's first claim
+    // can come in any later epoch, and must not allocate there.
+    ENTERED.with(|e| e.borrow_mut().reserve(4));
     loop {
         if shared.shutdown.load(SeqCst) {
             break;

@@ -147,15 +147,14 @@ proptest! {
     }
 }
 
-/// Regression for the `BENCH_sched.json` anomaly (`host_threads: 4`
-/// reporting `shared_peak_parallelism: 2` on a single-core host): when
-/// tasks live long enough to rendezvous, the scheduler must engage — and
-/// peak accounting must report — exactly `min(configured width, available
-/// tasks)` threads on a wide flat group. The bench's short free-running
-/// epochs can legitimately drain before parked workers reach a core (the
-/// bench now reports an `engageable_parallelism` probe alongside the
-/// observed peak), but the scheduler itself may neither under-subscribe
-/// nor under-count.
+/// Regression for a scheduler benchmark that reported a peak parallelism
+/// of 2 at width 4 on a single-core host: when tasks live long enough to
+/// rendezvous, the scheduler must engage — and peak accounting must
+/// report — exactly `min(configured width, available tasks)` threads on a
+/// wide flat group (so peak ≤ width, and the full width is engageable).
+/// Short free-running epochs can legitimately drain before parked workers
+/// reach a core, but the scheduler itself may neither under-subscribe nor
+/// under-count.
 #[test]
 fn peak_equals_min_width_tasks_on_wide_flat_group() {
     // Wide flat group: more tasks than threads → peak == width.

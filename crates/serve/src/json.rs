@@ -177,16 +177,21 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
                     Some(b'r') => out.push('\r'),
                     Some(b't') => out.push('\t'),
                     Some(b'u') => {
-                        let hex = bytes
-                            .get(*pos + 1..*pos + 5)
-                            .ok_or("truncated \\u escape")?;
-                        let hex = std::str::from_utf8(hex).map_err(|_| "bad \\u escape")?;
-                        let code =
-                            u32::from_str_radix(hex, 16).map_err(|_| "bad \\u escape")?;
-                        // Surrogates and other unpaired code points fall
-                        // back to the replacement character.
-                        out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
+                        let mut code = hex4(bytes, *pos + 1)?;
                         *pos += 4;
+                        // A high surrogate escape followed by a low one is
+                        // one scalar (RFC 8259 §7).
+                        if (0xd800..0xdc00).contains(&code)
+                            && bytes.get(*pos + 1..*pos + 3) == Some(b"\\u")
+                        {
+                            if let Ok(low @ 0xdc00..=0xdfff) = hex4(bytes, *pos + 3) {
+                                code = 0x10000 + ((code - 0xd800) << 10) + (low - 0xdc00);
+                                *pos += 6;
+                            }
+                        }
+                        // Lone or reversed surrogates fall back to the
+                        // replacement character.
+                        out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
                     }
                     _ => return Err(format!("bad escape at byte {pos}", pos = *pos)),
                 }
@@ -195,16 +200,32 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
             Some(&b) if b < 0x20 => {
                 return Err(format!("raw control byte in string at {pos}", pos = *pos))
             }
-            Some(_) => {
-                // Copy one full UTF-8 scalar.
-                let rest = std::str::from_utf8(&bytes[*pos..])
-                    .map_err(|_| "invalid UTF-8 in string")?;
-                let ch = rest.chars().next().unwrap();
+            Some(&lead) => {
+                // Copy one full UTF-8 scalar, decoding only its own bytes
+                // (the lead byte gives the width).
+                let width = match lead {
+                    0x00..=0x7f => 1,
+                    0xf0.. => 4,
+                    0xe0.. => 3,
+                    _ => 2,
+                };
+                let ch = bytes
+                    .get(*pos..*pos + width)
+                    .and_then(|scalar| std::str::from_utf8(scalar).ok())
+                    .and_then(|scalar| scalar.chars().next())
+                    .ok_or("invalid UTF-8 in string")?;
                 out.push(ch);
-                *pos += ch.len_utf8();
+                *pos += width;
             }
         }
     }
+}
+
+/// The four hex digits of a `\u` escape starting at `at`.
+fn hex4(bytes: &[u8], at: usize) -> Result<u32, String> {
+    let hex = bytes.get(at..at + 4).ok_or("truncated \\u escape")?;
+    let hex = std::str::from_utf8(hex).map_err(|_| "bad \\u escape")?;
+    u32::from_str_radix(hex, 16).map_err(|_| "bad \\u escape".into())
 }
 
 fn parse_number(bytes: &[u8], pos: &mut usize) -> Result<f64, String> {
@@ -300,6 +321,34 @@ mod tests {
             let escaped = escape(s);
             assert_eq!(Json::parse(&escaped).unwrap(), Json::Str(s.into()));
         }
+    }
+
+    #[test]
+    fn long_strings_parse_in_linear_time() {
+        // 4 MB of one- to four-byte scalars (10 bytes per repeat).
+        // Decoding each scalar from the whole remaining input made this
+        // quadratic: hours, not milliseconds.
+        let text = "aé€😀".repeat((4 << 20) / 10 + 1);
+        let doc = escape(&text);
+        assert!(doc.len() >= 4 << 20);
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || tx.send(Json::parse(&doc)).unwrap());
+        let parsed = rx
+            .recv_timeout(std::time::Duration::from_secs(20))
+            .expect("a 4 MB string did not parse within 20 s");
+        assert_eq!(parsed.unwrap(), Json::Str(text));
+    }
+
+    #[test]
+    fn escaped_surrogate_pairs_combine_into_one_scalar() {
+        let parse = |doc: &str| Json::parse(doc).unwrap();
+        assert_eq!(parse(r#""\ud83d\ude00""#), Json::Str("😀".into()));
+        assert_eq!(parse(r#""a\uD83D\uDE00b""#), Json::Str("a😀b".into()));
+        assert_eq!(parse(r#""\ud83d""#), Json::Str("\u{fffd}".into()));
+        assert_eq!(parse(r#""\ude00\ud83d""#), Json::Str("\u{fffd}\u{fffd}".into()));
+        assert_eq!(parse(r#""\ud83d\u0041""#), Json::Str("\u{fffd}A".into()));
+        assert_eq!(parse(r#""\ud83d\ud83d\ude00""#), Json::Str("\u{fffd}😀".into()));
+        assert!(Json::parse(r#""\ud83d\u12""#).is_err());
     }
 
     #[test]

@@ -15,20 +15,15 @@
 //!   probability).
 //! * [`proto`] — the JSON-lines request/response protocol behind
 //!   `scd serve` (one request per line, errors never kill the session).
-//! * [`harness`] — an open-loop Poisson load generator on `scd-events`
-//!   replayed against the calibrated perf model: p50/p99 latency and
-//!   throughput vs batch size (the numbers behind `BENCH_serve.json`).
 //! * [`json`] — the minimal offline JSON reader/writer the protocol
 //!   uses (the workspace vendors no serde).
 
 pub mod engine;
-pub mod harness;
 pub mod json;
 pub mod proto;
 pub mod slot;
 
 pub use engine::{batch_from_pairs, prediction, BatchScorer, Scored};
-pub use harness::{batch_service_seconds, capacity_rps, simulate, LoadReport, LoadSpec};
 pub use proto::{respond, serve_lines, Response, ServeStats};
 pub use slot::{ModelSlot, ModelSnapshot};
 

@@ -9,7 +9,7 @@ use scd_core::{ObjectiveKind, RidgeProblem, Solver};
 use scd_datasets::{scale_values, webspam_like};
 use scd_distributed::{DistributedConfig, DistributedScd};
 use scd_serve::{batch_from_pairs, BatchScorer, ModelSlot};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread;
 
@@ -52,6 +52,10 @@ proptest! {
 /// word derivable from the sequence number) as fast as it can while
 /// reader threads verify that each snapshot is internally consistent.
 /// A single blended word fails the derivation check.
+///
+/// The writer publishes once and waits until every reader has checked a
+/// snapshot before it hammers the rest, so the readers cannot all arrive
+/// after the last publish and read nothing.
 #[test]
 fn concurrent_reads_never_observe_a_blend() {
     const FEATURES: usize = 257; // odd, > one cache line of words
@@ -64,11 +68,13 @@ fn concurrent_reads_never_observe_a_blend() {
 
     let slot = Arc::new(ModelSlot::new(FEATURES));
     let stop = Arc::new(AtomicBool::new(false));
+    let started = Arc::new(AtomicUsize::new(0));
 
     let readers: Vec<_> = (0..READERS)
         .map(|_| {
             let slot = Arc::clone(&slot);
             let stop = Arc::clone(&stop);
+            let started = Arc::clone(&started);
             thread::spawn(move || {
                 let mut reads = 0u64;
                 let mut last_seq = 0u64;
@@ -90,6 +96,9 @@ fn concurrent_reads_never_observe_a_blend() {
                             snap.seq
                         );
                     }
+                    if reads == 0 {
+                        started.fetch_add(1, Ordering::Relaxed);
+                    }
                     reads += 1;
                 }
                 reads
@@ -104,6 +113,14 @@ fn concurrent_reads_never_observe_a_blend() {
         }
         let objective = ObjectiveKind::ALL[(seq % ObjectiveKind::ALL.len() as u64) as usize];
         slot.publish(objective, seq as f64 * 0.5, &beta);
+        // A reader that failed a check never reports in; its join below
+        // carries the panic.
+        while seq == 1
+            && started.load(Ordering::Relaxed) < READERS
+            && !readers.iter().any(|r| r.is_finished())
+        {
+            thread::yield_now();
+        }
     }
     stop.store(true, Ordering::Relaxed);
 
@@ -125,7 +142,7 @@ fn scoring_is_bit_identical_across_live_driver_swaps() {
     let features = problem.m();
 
     let slot = Arc::new(ModelSlot::new(features));
-    let published: Arc<Mutex<Vec<(u64, Vec<f32>)>>> = Arc::new(Mutex::new(Vec::new()));
+    let published = Arc::new(Mutex::new(Vec::<(u64, Vec<f32>)>::new()));
     let stop = Arc::new(AtomicBool::new(false));
 
     // The trainer: the synchronous driver running primal ridge (weights

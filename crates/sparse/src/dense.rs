@@ -137,7 +137,7 @@ mod tests {
     fn f64_accumulation_beats_f32() {
         // 1 + eps-sized values: naive f32 accumulation loses them entirely.
         let mut v = vec![1.0f32];
-        v.extend(std::iter::repeat(1e-8f32).take(1_000_000));
+        v.extend(std::iter::repeat_n(1e-8f32, 1_000_000));
         let s = v.iter().map(|&x| x as f64).sum::<f64>();
         assert!((dot(&v, &vec![1.0f32; v.len()]) - s).abs() < 1e-9);
         assert!(dot(&v, &vec![1.0f32; v.len()]) > 1.009);

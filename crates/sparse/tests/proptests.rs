@@ -232,7 +232,7 @@ proptest! {
     fn libsvm_roundtrip_preserves_data(coo in arb_coo(), labels_seed in 0u64..100) {
         use scd_sparse::io::{read_libsvm, write_libsvm, LabelledData};
         let labels: Vec<f32> = (0..coo.rows())
-            .map(|i| if (i as u64 + labels_seed) % 2 == 0 { 1.0 } else { -1.0 })
+            .map(|i| if (i as u64 + labels_seed).is_multiple_of(2) { 1.0 } else { -1.0 })
             .collect();
         let cols = coo.cols();
         let data = LabelledData { matrix: coo, labels };

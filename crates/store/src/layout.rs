@@ -71,11 +71,6 @@ pub fn chunk_file_name(i: usize) -> String {
     format!("chunk-{i:05}.scdc")
 }
 
-/// Round `n` up to the next multiple of 8.
-pub fn pad8(n: usize) -> usize {
-    n.div_ceil(8) * 8
-}
-
 /// Per-shard entry in the index's table of contents.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ShardMeta {
@@ -122,20 +117,32 @@ pub struct ChunkLayout {
 
 /// Compute the section map for a chunk of `rows` rows and `nnz` nonzeros.
 pub fn chunk_layout(rows: usize, nnz: usize) -> ChunkLayout {
+    checked_chunk_layout(rows as u64, nnz as u64).expect("chunk layout overflows usize")
+}
+
+/// [`chunk_layout`] with every step checked: `None` when the counts (read
+/// from a possibly forged index) would overflow the section map.
+pub fn checked_chunk_layout(rows: u64, nnz: u64) -> Option<ChunkLayout> {
+    let rows = usize::try_from(rows).ok()?;
+    let nnz = usize::try_from(nnz).ok()?;
+    let pad8 = |n: usize| n.checked_next_multiple_of(8);
     let offsets_start = CHUNK_HEADER_BYTES;
-    let offsets_end = offsets_start + 8 * (rows + 1);
-    let labels_end = offsets_end + 4 * rows;
-    let indices_start = pad8(labels_end);
-    let indices_end = indices_start + 4 * nnz;
-    let values_start = pad8(indices_end);
-    let values_end = values_start + 4 * nnz;
-    ChunkLayout {
+    let offsets_end = rows
+        .checked_add(1)?
+        .checked_mul(8)?
+        .checked_add(offsets_start)?;
+    let labels_end = rows.checked_mul(4)?.checked_add(offsets_end)?;
+    let indices_start = pad8(labels_end)?;
+    let indices_end = nnz.checked_mul(4)?.checked_add(indices_start)?;
+    let values_start = pad8(indices_end)?;
+    let values_end = nnz.checked_mul(4)?.checked_add(values_start)?;
+    Some(ChunkLayout {
         offsets: offsets_start..offsets_end,
         labels: offsets_end..labels_end,
         indices: indices_start..indices_end,
         values: values_start..values_end,
-        file_bytes: pad8(values_end),
-    }
+        file_bytes: pad8(values_end)?,
+    })
 }
 
 /// The decoded fixed-size chunk header.
@@ -276,8 +283,19 @@ pub fn decode_index(bytes: &[u8], path: &Path) -> Result<StoreIndex, StoreError>
             payload_checksum: u64_at(base + 24),
         });
     }
-    let sum_rows: u64 = shards.iter().map(|s| s.rows).sum();
-    let sum_nnz: u64 = shards.iter().map(|s| s.nnz).sum();
+    // Checked: a forged table can wrap a plain sum back to the header's
+    // totals.
+    let total = |count: fn(&ShardMeta) -> u64| {
+        shards
+            .iter()
+            .try_fold(0u64, |acc, s| acc.checked_add(count(s)))
+    };
+    let (Some(sum_rows), Some(sum_nnz)) = (total(|s| s.rows), total(|s| s.nnz)) else {
+        return Err(StoreError::Invalid {
+            path: path.to_path_buf(),
+            detail: "shard table row or nnz counts overflow u64".to_string(),
+        });
+    };
     if sum_rows != rows || sum_nnz != nnz {
         return Err(StoreError::Invalid {
             path: path.to_path_buf(),

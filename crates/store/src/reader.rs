@@ -2,8 +2,8 @@
 //! partition loads that touch only the chunks a worker actually owns.
 
 use crate::layout::{
-    self, chunk_file_name, chunk_layout, decode_index, ChunkHeader, ShardMeta, StoreIndex,
-    INDEX_FILE,
+    self, checked_chunk_layout, chunk_file_name, chunk_layout, decode_index, ChunkHeader,
+    ShardMeta, StoreIndex, INDEX_FILE,
 };
 use crate::mmap::{Backing, Mapping};
 use crate::{fnv1a64, StoreError};
@@ -42,10 +42,21 @@ impl ShardedDataset {
             acc += s.rows;
         }
         row_starts.push(acc);
-        // Cheap whole-dataset sanity pass: every chunk file must exist with
-        // exactly the size the index recorded. Content (checksums) is only
-        // verified when a chunk is actually mapped.
+        // Cheap whole-dataset sanity pass: every chunk's recorded size must
+        // be the one its counts imply, and its file must exist with exactly
+        // that size. Content (checksums) is only verified when a chunk is
+        // actually mapped.
         for (i, meta) in index.shards.iter().enumerate() {
+            let implied = checked_chunk_layout(meta.rows, meta.nnz).map(|l| l.file_bytes as u64);
+            if implied != Some(meta.file_bytes) {
+                return Err(StoreError::Invalid {
+                    path: index_path,
+                    detail: format!(
+                        "shard {i}: {} rows / {} nnz do not fill its recorded {} bytes",
+                        meta.rows, meta.nnz, meta.file_bytes
+                    ),
+                });
+            }
             let path = dir.join(chunk_file_name(i));
             let found = std::fs::metadata(&path)
                 .map_err(|e| StoreError::io(&path, e))?
@@ -362,12 +373,12 @@ mod tests {
             assert_eq!(csr.rows(), 10);
             assert_eq!(csr.nnz(), 30);
             assert_eq!(labels.len(), 10);
-            for r in 0..10 {
+            for (r, &label) in labels.iter().enumerate() {
                 let row = csr.row(r);
                 let r32 = r as u32;
                 assert_eq!(row.indices, &[r32, r32 + 10, r32 + 30]);
                 assert_eq!(row.values, &[r as f32 + 0.5, 1.0, -2.0]);
-                assert_eq!(labels[r], if r % 2 == 0 { 1.0 } else { -1.0 });
+                assert_eq!(label, if r % 2 == 0 { 1.0 } else { -1.0 });
             }
         }
         std::fs::remove_dir_all(&dir).ok();

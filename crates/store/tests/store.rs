@@ -2,7 +2,7 @@
 //! corruption detection on real files, and the bounded-RSS contract.
 
 use scd_datasets::{criteo_like, CriteoSpec};
-use scd_store::layout::{chunk_file_name, INDEX_FILE};
+use scd_store::layout::{chunk_file_name, decode_index, encode_index, ShardMeta, INDEX_FILE};
 use scd_store::{write_criteo, Backing, ShardedDataset, StoreError};
 use std::fs::OpenOptions;
 use std::io::{Read, Seek, SeekFrom, Write};
@@ -35,17 +35,14 @@ fn shards_are_bit_identical_to_in_memory_generator() {
         assert_eq!(csr.cols(), mem_csr.cols());
         assert_eq!(csr.nnz(), mem_csr.nnz());
         // Row-for-row, bit-for-bit: indices, value bits, label bits.
-        for r in 0..200 {
+        assert_eq!(labels.len(), 200);
+        for (r, (label, want)) in labels.iter().zip(&data.labels).enumerate() {
             let (a, b) = (csr.row(r), mem_csr.row(r));
             assert_eq!(a.indices, b.indices, "row {r} indices");
             let av: Vec<u32> = a.values.iter().map(|v| v.to_bits()).collect();
             let bv: Vec<u32> = b.values.iter().map(|v| v.to_bits()).collect();
             assert_eq!(av, bv, "row {r} value bits");
-            assert_eq!(
-                labels[r].to_bits(),
-                data.labels[r].to_bits(),
-                "row {r} label bits"
-            );
+            assert_eq!(label.to_bits(), want.to_bits(), "row {r} label bits");
         }
     }
     std::fs::remove_dir_all(&dir).ok();
@@ -218,6 +215,43 @@ fn index_corruption_is_detected_at_open() {
         ShardedDataset::open(&dir),
         Err(StoreError::Truncated { .. })
     ));
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A shard table re-sealed with a valid checksum but forged counts must be
+/// refused at open, not discovered at load (or as an overflow panic).
+#[test]
+fn forged_shard_table_is_invalid_at_open() {
+    let dir = tmp("forged");
+    write_fixture(&dir);
+    let index_path = dir.join(INDEX_FILE);
+    let genuine = std::fs::read(&index_path).unwrap();
+    let index = decode_index(&genuine, &index_path).unwrap();
+    type Forge = fn(&mut [ShardMeta]);
+    let forgeries: [(&str, Forge); 2] = [
+        ("row counts whose sum wraps back to the header's 200", |shards| {
+            shards[0].rows += 1 << 63;
+            shards[1].rows += 1 << 63;
+        }),
+        ("counts that sum right but do not fit the recorded sizes", |shards| {
+            shards[0].rows -= 1;
+            shards[1].rows += 1;
+        }),
+    ];
+    for (what, forge) in forgeries {
+        let mut forged = index.clone();
+        forge(&mut forged.shards);
+        std::fs::write(&index_path, encode_index(&forged)).unwrap();
+        match ShardedDataset::open(&dir) {
+            Err(e @ StoreError::Invalid { .. }) => {
+                assert!(!e.to_string().contains('\n'), "{what}: {e}")
+            }
+            other => panic!("{what}: expected Invalid, got {other:?}"),
+        }
+    }
+
+    std::fs::write(&index_path, &genuine).unwrap();
+    assert_eq!(ShardedDataset::open(&dir).unwrap().rows(), 200);
     std::fs::remove_dir_all(&dir).ok();
 }
 

@@ -11,8 +11,7 @@ cd "$(dirname "$0")/.."
 
 # --workspace matters: the root manifest carries the tpa-scd facade
 # package, so a bare `cargo build` covers only it and its deps — leaving
-# ./target/release/scd and the bench binaries stale for the smoke steps
-# below.
+# ./target/release/scd stale for the smoke steps below.
 echo "==> cargo build --workspace --release"
 cargo build --workspace --release
 
@@ -70,25 +69,49 @@ for run in syscd primal; do
 done
 rm -rf "$HT_DIR"
 
-echo "==> bench_store --smoke"
-BENCH_OUT=$(mktemp) ./target/release/bench_store --smoke
-
-echo "==> bench_cpu --smoke"
-# Smoke-run the CPU-backend benchmark so a perf-harness regression cannot
-# land silently; BENCH_OUT keeps it from clobbering the committed record.
-BENCH_OUT=$(mktemp) ./target/release/bench_cpu --smoke
-
-echo "==> bench_serve --smoke"
-BENCH_OUT=$(mktemp) ./target/release/bench_serve --smoke
-
-echo "==> bench_alloc --smoke (alloc-count)"
-# Build the allocation-audit binary with the counting allocator and
-# smoke-run it, then assert the steady-state zero-allocation contracts.
-# The counters are process-global, so the test binary runs single-threaded.
-cargo build -q --release -p scd-bench --features alloc-count --bin bench_alloc
-BENCH_OUT=$(mktemp) ./target/release/bench_alloc --smoke
+echo "==> alloc_steady_state (alloc-count)"
+# Assert the steady-state zero-allocation contracts under the counting
+# allocator. The counters are process-global, so the test binary runs
+# single-threaded.
 cargo test -q --release -p scd-bench --features alloc-count \
   --test alloc_steady_state -- --test-threads=1
+
+echo "==> concurrency suites under load"
+# Some schedules never happen on an idle host: a seqlock reader starved by
+# the writer, a scheduler worker's first task landing mid-run. Run each
+# concurrency-sensitive suite three times, optimised (a debug build is too
+# slow to starve anyone), beside two busy loops of our own, which the trap
+# stops on every exit path. `timeout` signals the whole process group, so
+# a hung test binary dies with its cargo.
+LOAD_PIDS=()
+stop_load() {
+  if ((${#LOAD_PIDS[@]})); then
+    kill "${LOAD_PIDS[@]}" 2> /dev/null || true
+    wait "${LOAD_PIDS[@]}" 2> /dev/null || true
+    LOAD_PIDS=()
+  fi
+}
+trap stop_load EXIT
+trap 'exit 130' INT
+trap 'exit 143' TERM
+for _ in 1 2; do
+  (while :; do :; done) &
+  LOAD_PIDS+=($!)
+done
+under_load() {
+  for run in 1 2 3; do
+    echo "    [$run/3] cargo test --release $*"
+    timeout 600 cargo test -q --release "$@"
+  done
+}
+under_load -p scd-serve --test slot_props
+under_load -p scd-sched --test sched_props
+under_load -p scd-bench --features alloc-count \
+  --test alloc_steady_state -- --test-threads=1
+under_load -p scd-distributed --test async_event
+under_load -p scd-distributed --test runtime_fault
+under_load -p scd-core --test products_identity
+stop_load
 
 echo "==> serve smoke"
 # Train one epoch, batch-score five rows, and answer one JSON-lines serve
@@ -134,7 +157,7 @@ for obj in ridge logistic svm lasso elastic-net; do
 done
 rm -f "$OBJ_DATA"
 
-echo "==> cargo clippy --workspace -- -D warnings"
-cargo clippy --workspace -- -D warnings
+echo "==> cargo clippy --workspace --all-targets -- -D warnings"
+cargo clippy --workspace --all-targets -- -D warnings
 
 echo "==> tier-1 green"

@@ -5,7 +5,7 @@
 
 use std::sync::Arc;
 use tpa_scd::core::{
-    AsyncSimScd, Form, MiniBatchSdca, ObjectiveKind, RidgeProblem, SequentialScd, Solver, TpaScd,
+    AsyncSimScd, Form, ObjectiveKind, RidgeProblem, SequentialScd, Solver, TpaScd,
 };
 use tpa_scd::datasets::{criteo_like, scale_values, webspam_like};
 use tpa_scd::distributed::{
@@ -47,7 +47,6 @@ fn single_node_engines_are_deterministic() {
     run_twice(|| SequentialScd::dual(&p, 3), &p, 4);
     run_twice(|| AsyncSimScd::a_scd(&p, Form::Primal, 3), &p, 4);
     run_twice(|| AsyncSimScd::wild(&p, Form::Dual, 3), &p, 4);
-    run_twice(|| MiniBatchSdca::new(&p, 8, 3), &p, 4);
 }
 
 #[test]
