@@ -105,14 +105,6 @@ impl Args {
         })
     }
 
-    /// Reject the positional action for subcommands that take none.
-    pub fn reject_action(&self) -> Result<(), ArgError> {
-        match &self.action {
-            Some(a) => Err(ArgError::UnexpectedPositional(a.clone())),
-            None => Ok(()),
-        }
-    }
-
     /// A string option, if present.
     pub fn get(&self, key: &str) -> Option<&str> {
         self.options.get(key).map(|s| s.as_str())
@@ -130,14 +122,47 @@ impl Args {
         default: T,
         expected: &'static str,
     ) -> Result<T, ArgError> {
-        match self.get(key) {
-            None => Ok(default),
-            Some(raw) => raw.parse().map_err(|_| ArgError::BadValue {
+        Ok(self.get_opt(key, expected)?.unwrap_or(default))
+    }
+
+    /// A typed option, if present.
+    pub fn get_opt<T: std::str::FromStr>(
+        &self,
+        key: &str,
+        expected: &'static str,
+    ) -> Result<Option<T>, ArgError> {
+        self.get_valid(key, expected, |_| true)
+    }
+
+    /// A typed option, if present, that must pass `valid`; `expected`
+    /// names what it must be.
+    pub fn get_valid<T: std::str::FromStr>(
+        &self,
+        key: &str,
+        expected: &'static str,
+        valid: impl Fn(&T) -> bool,
+    ) -> Result<Option<T>, ArgError> {
+        let Some(raw) = self.get(key) else {
+            return Ok(None);
+        };
+        match raw.parse() {
+            Ok(value) if valid(&value) => Ok(Some(value)),
+            _ => Err(ArgError::BadValue {
                 key: key.to_string(),
                 value: raw.to_string(),
                 expected,
             }),
         }
+    }
+
+    /// An integer option >= 1, if present.
+    pub fn get_count(&self, key: &str) -> Result<Option<usize>, ArgError> {
+        self.get_valid(key, "an integer >= 1", |&n| n >= 1)
+    }
+
+    /// A finite number option > 0, if present.
+    pub fn get_positive(&self, key: &str) -> Result<Option<f64>, ArgError> {
+        self.get_valid(key, "a finite number > 0", |v: &f64| v.is_finite() && *v > 0.0)
     }
 
     /// Reject any option not in the allow-list (typo protection).
@@ -180,10 +205,6 @@ mod tests {
         // none reject it at dispatch.
         let a = parse("train oops").unwrap();
         assert_eq!(a.action.as_deref(), Some("oops"));
-        assert!(matches!(
-            a.reject_action().unwrap_err(),
-            ArgError::UnexpectedPositional(_)
-        ));
         // A second positional, or one after options, fails at parse.
         assert!(matches!(
             parse("shard gen extra").unwrap_err(),
@@ -201,7 +222,7 @@ mod tests {
         assert_eq!(a.command, "shard");
         assert_eq!(a.action.as_deref(), Some("gen"));
         assert_eq!(a.get("rows"), Some("100"));
-        assert!(parse("info --data x").unwrap().reject_action().is_ok());
+        assert_eq!(parse("info --data x").unwrap().action, None);
     }
 
     #[test]
@@ -232,6 +253,17 @@ mod tests {
             Err(ArgError::BadValue { .. })
         ));
         assert!(matches!(a.require("data"), Err(ArgError::MissingRequired("data"))));
+        assert_eq!(a.get_opt("epochs", "integer").unwrap(), Some(50usize));
+        assert_eq!(a.get_opt::<usize>("workers", "integer").unwrap(), None);
+        // Constrained accessors reject what parses but does not fit.
+        let a = parse("train --threads 0 --step nan --epochs 3").unwrap();
+        assert_eq!(a.get_count("epochs").unwrap(), Some(3));
+        assert_eq!(
+            a.get_count("threads").unwrap_err().to_string(),
+            "--threads \"0\": expected an integer >= 1"
+        );
+        assert!(a.get_positive("step").is_err());
+        assert_eq!(a.get_positive("lambda").unwrap(), None);
     }
 
     #[test]

@@ -20,7 +20,9 @@ fn help_succeeds_and_mentions_subcommands() {
     let out = scd(&["help"]);
     assert!(out.status.success());
     let text = String::from_utf8(out.stdout).unwrap();
-    for word in ["generate", "train", "predict", "sweep", "info"] {
+    for word in [
+        "generate", "train", "score", "sweep", "info", "shard gen", "shard inspect", "tpa-m4000",
+    ] {
         assert!(text.contains(word), "help missing {word}");
     }
 }
@@ -39,15 +41,13 @@ const SURFACE: &[(&[&str], &[&str])] = &[
     (
         &["train"],
         &[
-            "data", "features", "objective", "lambda", "l1-ratio", "form", "backend", "solver",
-            "threads", "buckets", "merge-every", "host-threads", "step", "epochs", "eval-every",
-            "target-gap", "workers", "partition", "aggregation", "wire", "round-threads",
-            "runtime", "staleness", "event-trace", "fault-drop", "fault-delay",
-            "fault-delay-factor", "fault-timeout", "fault-retries", "fault-seed", "round-metrics",
-            "save-model", "seed",
+            "data", "features", "objective", "lambda", "l1-ratio", "form", "backend", "threads",
+            "buckets", "merge-every", "host-threads", "step", "epochs", "eval-every", "target-gap",
+            "workers", "partition", "aggregation", "wire", "round-threads", "runtime", "staleness",
+            "event-trace", "fault-drop", "fault-delay", "fault-delay-factor", "fault-timeout",
+            "fault-retries", "fault-seed", "round-metrics", "save-model", "seed",
         ],
     ),
-    (&["predict"], &["model", "data", "features"]),
     (
         &["serve"],
         &[
@@ -137,7 +137,7 @@ fn bad_usage_fails_with_nonzero_exit_and_stderr() {
 }
 
 #[test]
-fn full_workflow_generate_train_predict() {
+fn full_workflow_generate_train_score() {
     let data = tmp("wf_data.svm");
     let model = tmp("wf_model.txt");
     let data_s = data.to_str().unwrap();
@@ -157,10 +157,14 @@ fn full_workflow_generate_train_predict() {
     let text = String::from_utf8(out.stdout).unwrap();
     assert!(text.contains("model saved"), "{text}");
 
-    let out = scd(&["predict", "--model", model_s, "--data", data_s]);
+    let out = scd(&["score", "--model", model_s, "--data", data_s]);
     assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
     let text = String::from_utf8(out.stdout).unwrap();
-    assert!(text.contains("accuracy:"), "{text}");
+    let summary = scd_serve::json::Json::parse(text.lines().last().unwrap()).unwrap();
+    assert!(summary.get("mse").and_then(|m| m.as_f64()).is_some(), "{text}");
+    // The model fits its own training data well.
+    let accuracy = summary.get("accuracy").and_then(|a| a.as_f64()).unwrap();
+    assert!(accuracy > 0.9, "training accuracy {accuracy}");
 
     std::fs::remove_file(&data).ok();
     std::fs::remove_file(&model).ok();
@@ -178,7 +182,7 @@ fn distributed_gpu_training_from_the_command_line() {
 
     let out = scd(&[
         "train", "--data", data_s, "--features", "100", "--form", "dual", "--workers", "2",
-        "--aggregation", "adaptive", "--solver", "tpa-titanx", "--epochs", "10",
+        "--aggregation", "adaptive", "--backend", "tpa-titanx", "--epochs", "10",
         "--eval-every", "10",
     ]);
     assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
@@ -415,6 +419,7 @@ fn shard_workflow_trains_bit_identically_to_in_memory() {
     assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
     let text = String::from_utf8(out.stdout).unwrap();
     assert!(text.contains("sharded criteo: rows=160 cols=80"), "{text}");
+    assert!(text.contains("chunks=10"), "{text}");
 
     // The writer streamed: the dataset on disk is at least 4x anything it
     // ever held buffered (chunked generation, not materialize-then-write).
@@ -563,7 +568,7 @@ fn host_threads_sizes_the_shared_scheduler() {
     assert!(out.status.success());
 
     let out = scd(&[
-        "train", "--data", data_s, "--features", "60", "--workers", "2", "--solver",
+        "train", "--data", data_s, "--features", "60", "--workers", "2", "--backend",
         "tpa-m4000", "--host-threads", "2", "--epochs", "5", "--eval-every", "5",
     ]);
     assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
@@ -574,5 +579,50 @@ fn host_threads_sizes_the_shared_scheduler() {
     assert!(!out.status.success());
     assert!(String::from_utf8(out.stderr).unwrap().contains("expected integer"));
 
+    std::fs::remove_file(&data).ok();
+}
+
+#[test]
+fn bad_flag_values_are_one_line_errors() {
+    // Each of these reached an engine's assert (a panic and a backtrace)
+    // or, for a negative timeout, silently dropped every round.
+    let data = tmp("bad_flags_data.svm");
+    let data_s = data.to_str().unwrap();
+    let out = scd(&[
+        "generate", "--kind", "webspam", "--rows", "40", "--cols", "30", "--nnz-per-row", "4",
+        "--output", data_s,
+    ]);
+    assert!(out.status.success());
+    let threads = "--threads \"0\": expected an integer >= 1";
+    let cases: &[(&[&str], &str)] = &[
+        (&["--backend", "syscd", "--threads", "0"], threads),
+        (&["--backend", "a-scd", "--threads", "0"], threads),
+        (&["--backend", "wild", "--threads", "0"], threads),
+        (&["--backend", "a-scd", "--threads", "0", "--workers", "2"], threads),
+        (&["--backend", "wild", "--threads", "0", "--workers", "2"], threads),
+        (&["--backend", "asyscd", "--step", "0"], "--step \"0\": expected a finite number > 0"),
+        (&["--backend", "asyscd", "--step", "nan"], "--step \"nan\": expected a finite number > 0"),
+        (
+            &["--workers", "2", "--fault-delay", "1", "--fault-delay-factor", "nan"],
+            "--fault-delay-factor \"nan\": expected a finite number > 0",
+        ),
+        (
+            &["--workers", "2", "--fault-delay-factor", "0"],
+            "--fault-delay-factor \"0\": expected a finite number > 0",
+        ),
+        (
+            &["--workers", "2", "--fault-timeout", "-1"],
+            "--fault-timeout \"-1\": expected a finite number > 0",
+        ),
+        (
+            &["--workers", "2", "--fault-timeout", "inf"],
+            "--fault-timeout \"inf\": expected a finite number > 0",
+        ),
+    ];
+    for (extra, needle) in cases {
+        let mut argv = vec!["train", "--data", data_s, "--features", "30", "--epochs", "1"];
+        argv.extend_from_slice(extra);
+        assert_one_line_error(&scd(&argv), needle);
+    }
     std::fs::remove_file(&data).ok();
 }

@@ -120,6 +120,13 @@ fn serve_round_trips_json_and_survives_malformed_requests() {
         assert!(err.get("error").and_then(Json::as_str).is_some(), "{bad}");
     }
 
+    // The unknown-op error lists every op the session answers.
+    let err = session.request("{\"op\":\"warp\"}");
+    assert_eq!(
+        err.get("error").and_then(Json::as_str),
+        Some("bad request: unknown op \"warp\" (info|score|reload)")
+    );
+
     // The session still serves after every error.
     let again = session.request("{\"op\":\"score\",\"rows\":[[[1,1.0]]]}");
     assert_eq!(again.get("ok"), Some(&Json::Bool(true)));
@@ -289,7 +296,7 @@ fn score_streams_a_shard_directory_in_batches() {
     assert_eq!(summary.get("batches").and_then(Json::as_f64), Some(3.0));
     assert!(summary.get("mse").and_then(Json::as_f64).is_some());
 
-    // Scoring the whole store agrees with the full-dataset predict path.
+    // Without --limit, score reads the whole store.
     let out = scd(&["score", "--model", model.to_str().unwrap(), "--data", dir.to_str().unwrap()]);
     assert!(out.status.success());
     let text = String::from_utf8(out.stdout).unwrap();

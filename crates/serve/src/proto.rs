@@ -133,7 +133,7 @@ fn answer(line: &str, slot: &ModelSlot, scorer: &BatchScorer) -> Result<(String,
             ))
         }
         other => Err(ServeError::BadRequest(format!(
-            "unknown op {other:?} (info|score)"
+            "unknown op {other:?} (info|score|reload)"
         ))),
     }
 }

@@ -114,32 +114,38 @@ under_load -p scd-core --test products_identity
 stop_load
 
 echo "==> serve smoke"
-# Train one epoch, batch-score five rows, and answer one JSON-lines serve
+# Train one epoch, batch-score five rows of a LIBSVM file and of a shard
+# directory (the two kinds of --data), and answer one JSON-lines serve
 # request: the whole serving surface exercised end-to-end through the
 # binary, with every output line required to be parseable JSON.
 SERVE_DATA=$(mktemp)
 SERVE_MODEL=$(mktemp)
+SERVE_SHARDS=$(mktemp -d)
 ./target/release/scd generate --kind webspam --rows 80 --cols 40 \
   --nnz-per-row 5 --scale 0.3 --output "$SERVE_DATA" > /dev/null
+./target/release/scd shard gen --out "$SERVE_SHARDS/shards" --kind webspam \
+  --rows 80 --cols 40 --nnz-per-row 5 --chunk-rows 32 > /dev/null
 ./target/release/scd train --data "$SERVE_DATA" --features 40 --epochs 1 \
   --eval-every 1 --save-model "$SERVE_MODEL" > /dev/null
-score_out=$(./target/release/scd score --model "$SERVE_MODEL" \
-  --data "$SERVE_DATA" --limit 5)
-if [[ $(echo "$score_out" | wc -l) -ne 6 ]]; then
-  echo "tier1.sh: scd score --limit 5 must print 5 rows + summary:" >&2
-  echo "$score_out" >&2
-  exit 1
-fi
-echo "$score_out" | python3 -c 'import json,sys
+for data in "$SERVE_DATA" "$SERVE_SHARDS/shards"; do
+  score_out=$(./target/release/scd score --model "$SERVE_MODEL" \
+    --data "$data" --limit 5)
+  if [[ $(echo "$score_out" | wc -l) -ne 6 ]]; then
+    echo "tier1.sh: scd score --limit 5 on $data must print 5 rows + summary:" >&2
+    echo "$score_out" >&2
+    exit 1
+  fi
+  echo "$score_out" | python3 -c 'import json,sys
 for line in sys.stdin: json.loads(line)' || {
-  echo "tier1.sh: scd score output is not JSON-lines" >&2; exit 1; }
+    echo "tier1.sh: scd score output on $data is not JSON-lines" >&2; exit 1; }
+done
 serve_out=$(printf '{"op":"info"}\n' | \
   ./target/release/scd serve --model "$SERVE_MODEL" 2> /dev/null)
 echo "$serve_out" | python3 -c 'import json,sys
 resp = json.loads(sys.stdin.readline())
 assert resp["ok"] and resp["model_seq"] == 1, resp' || {
   echo "tier1.sh: scd serve info round-trip failed: $serve_out" >&2; exit 1; }
-rm -f "$SERVE_DATA" "$SERVE_MODEL"
+rm -rf "$SERVE_DATA" "$SERVE_MODEL" "$SERVE_SHARDS"
 
 echo "==> objective smoke matrix"
 # One epoch of every objective on every engine class: catches an
