@@ -41,8 +41,7 @@ struct Command {
 
 impl Command {
     fn matches(&self, args: &Args) -> bool {
-        let mut words = self.name.split(' ');
-        words.next() == Some(args.command.as_str()) && words.next() == args.action.as_deref()
+        self.name.split(' ').eq([args.command.as_str()].into_iter().chain(args.action.as_deref()))
     }
 }
 
@@ -256,16 +255,17 @@ impl Dataset {
 fn generate(args: &Args, out: &mut dyn Write) -> Result {
     let kind = args.require("kind")?;
     let output = args.require("output")?;
-    let rows = args.get_or("rows", 1000usize, "integer")?;
-    let cols = args.get_or("cols", 2000usize, "integer")?;
+    // The generators assert on empty dimensions; turn misuse into errors.
+    let rows = args.get_count("rows")?.unwrap_or(1000);
+    let cols = args.get_count("cols")?.unwrap_or(2000);
     let seed = args.get_or("seed", 42u64, "integer")?;
     let scale = args.get_or("scale", 1.0f32, "number")?;
 
     let data = match kind {
-        "webspam" => webspam_like(rows, cols, args.get_or("nnz-per-row", 30, "integer")?, seed),
+        "webspam" => webspam_like(rows, cols, args.get_count("nnz-per-row")?.unwrap_or(30), seed),
         "criteo" => {
-            let fields = args.get_or("fields", 10usize, "integer")?;
-            let cardinality = args.get_or("cardinality", 100usize, "integer")?;
+            let fields = args.get_count("fields")?.unwrap_or(10);
+            let cardinality = args.get_count("cardinality")?.unwrap_or(100);
             criteo_like(rows, fields, cardinality, seed)
         }
         "dense" => dense_gaussian(rows, cols, seed),

@@ -624,5 +624,18 @@ fn bad_flag_values_are_one_line_errors() {
         argv.extend_from_slice(extra);
         assert_one_line_error(&scd(&argv), needle);
     }
+    // The dataset generators assert on empty dimensions too.
+    let empty = tmp("bad_flags_empty.svm");
+    for (kind, flag) in [
+        ("webspam", "--rows"),
+        ("dense", "--cols"),
+        ("webspam", "--nnz-per-row"),
+        ("criteo", "--fields"),
+        ("criteo", "--cardinality"),
+    ] {
+        let argv = ["generate", "--kind", kind, flag, "0", "--output", empty.to_str().unwrap()];
+        let needle = format!("{flag} \"0\": expected an integer >= 1");
+        assert_one_line_error(&scd(&argv), &needle);
+    }
     std::fs::remove_file(&data).ok();
 }
